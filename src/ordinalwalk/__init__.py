@@ -56,6 +56,7 @@ from .nullmodels import (
     associated_walk,
     bootstrap_band,
     build_null,
+    build_nulls,
     closed_form_normal_zero_mean,
     closed_form_uniform,
     default_walk_length,
@@ -72,9 +73,11 @@ from .patterns import (
     TimeSeries,
     all_patterns,
     empirical_distribution,
+    empirical_distributions,
     extract_patterns,
     lex_rank,
     lex_unrank,
+    pattern_counts,
     standardize,
     symmetry_transform,
 )
@@ -89,12 +92,14 @@ __all__ = [
     "ParseError", "PatternDistribution", "RangeError", "SpecError",
     "StepModel", "SupportError", "TiePolicy", "TieError", "TimeSeries",
     "WindowSpec", "all_patterns", "analyze", "analyze_run", "associated_walk",
-    "bootstrap_band", "build_null", "closed_form_normal_zero_mean",
-    "closed_form_uniform", "default_walk_length", "emit",
-    "empirical_distribution", "equivalence_classes", "extract_patterns",
+    "bootstrap_band", "build_null", "build_nulls",
+    "closed_form_normal_zero_mean", "closed_form_uniform",
+    "default_walk_length", "emit", "empirical_distribution",
+    "empirical_distributions", "equivalence_classes", "extract_patterns",
     "g_statistic", "generate", "ingest_csv", "kl_divergence", "kl_to_null",
     "lex_rank", "lex_unrank", "missing_pattern_count", "momentum_epsilon",
-    "monte_carlo_distribution", "permutation_entropy", "rc_closure",
-    "standardize", "step_sign_distribution", "symmetry_transform",
-    "validate_classes", "volume_oracle", "windowed_analyze", "windowed_run",
+    "monte_carlo_distribution", "pattern_counts", "permutation_entropy",
+    "rc_closure", "standardize", "step_sign_distribution",
+    "symmetry_transform", "validate_classes", "volume_oracle",
+    "windowed_analyze", "windowed_run",
 ]

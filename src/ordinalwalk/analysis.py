@@ -37,13 +37,13 @@ from .nullmodels import (
     NullSpec,
     _kl_with_fallback,
     bootstrap_band,
-    build_null,
+    build_nulls,
 )
 from .patterns import (
     PatternDistribution,
     TiePolicy,
     TimeSeries,
-    empirical_distribution,
+    empirical_distributions,
     lex_unrank,
 )
 
@@ -113,6 +113,8 @@ def ingest_csv(path, column: int | str = 0, header: bool = False) -> TimeSeries:
     """
     if isinstance(column, str) and not header:
         raise ParseError(f"{path}: selecting column {column!r} by name needs header=True")
+    if isinstance(column, int) and column < 0:
+        raise ParseError(f"{path}: column index must be >= 0, got {column}")
     values: list[float] = []
     pending_blank: int | None = None
     index: int | None = column if isinstance(column, int) else None
@@ -185,7 +187,8 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
 
     window_start keys the derived random streams (the whole series is
     window 1), so a length-N window at start 1 reproduces the whole-series
-    analysis exactly.
+    analysis exactly. One null per run, from the run's null key, serves
+    both kl_to_model and the band, whose replicates come from the band key.
     """
     ts = series if isinstance(series, TimeSeries) else TimeSeries(series)
     needed = (max(config.orders) - 1) * config.delay + 1
@@ -195,23 +198,23 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
             f"{max(config.orders)} at delay {config.delay} (needs {needed})"
         )
     base = np.random.SeedSequence(config.seed, spawn_key=(window_start,))
-    order_keys = base.spawn(len(config.orders))
-    dist2 = empirical_distribution(ts, 2, config.delay, config.policy)
+    null_key, band_key = base.spawn(2)
+    empiricals = empirical_distributions(
+        ts, (2,) + config.orders, config.delay, config.policy)
+    dist2 = empiricals[2]
+    nulls = build_nulls(ts, config.orders, config.null, null_key)
+    bands = [None] * len(nulls)
+    if config.replicates > 0:
+        bands = bootstrap_band(
+            ts, [null.distribution for null in nulls], config.replicates, None,
+            band_key, config.delay, config.policy, config.smoothing,
+        )
     runs = []
-    for n, key in zip(config.orders, order_keys):
-        null_key, band_key = key.spawn(2)
-        empirical = empirical_distribution(ts, n, config.delay, config.policy)
-        null = build_null(ts, n, config.null, null_key)
+    for null, band in zip(nulls, bands):
+        n = null.order
+        empirical = empiricals[n]
         kl = _kl_with_fallback(empirical, null.distribution, config.smoothing)
         classes = equivalence_classes(n) if n <= 5 else rc_closure(n)
-        band_mean = band_std = None
-        if config.replicates > 0:
-            band = bootstrap_band(
-                ts, n, config.replicates, None, band_key,
-                config.delay, config.policy, config.smoothing,
-                null_walk_length=config.null.walk_length,
-            )
-            band_mean, band_std = band.mean, band.std
         report = MetricReport(
             n=n,
             permutation_entropy=permutation_entropy(empirical),
@@ -220,8 +223,8 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
             g_statistic=g_statistic(empirical, classes),
             epsilon_up=momentum_epsilon(empirical, dist2, "up"),
             epsilon_down=momentum_epsilon(empirical, dist2, "down"),
-            kl_band_mean=band_mean,
-            kl_band_std=band_std,
+            kl_band_mean=None if band is None else band.mean,
+            kl_band_std=None if band is None else band.std,
             classes_source=classes.source,
             model=config.null.describe(),
             seed=config.seed,

@@ -15,6 +15,7 @@ floor (spread < 1e-4 at b = 0.65).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Literal
 
 import numpy as np
@@ -138,11 +139,13 @@ class EquivalenceClassTable:
         ]
 
 
+@lru_cache(maxsize=None)
 def equivalence_classes(n: int) -> EquivalenceClassTable:
     """The full equal-probability partition for n in {3, 4, 5}.
 
     Counts: 4 classes at n = 3, 14 at n = 4, 61 at n = 5 (8 singletons,
-    50 pairs, 3 quadruples).
+    50 pairs, 3 quadruples). Built and validated once per order; the
+    frozen table is shared by later calls.
     """
     table = _TABLES.get(n)
     if table is None:
@@ -153,11 +156,13 @@ def equivalence_classes(n: int) -> EquivalenceClassTable:
     return EquivalenceClassTable(n, groups, "reference")
 
 
+@lru_cache(maxsize=None)
 def rc_closure(n: int) -> EquivalenceClassTable:
     """Partition of S_n into reverse-complement orbits (size 1 or 2).
 
     Sound for any walk but coarser than the full tables: every orbit lies
-    inside one equivalence_classes(n) group for n in {3, 4, 5}.
+    inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
+    validated once per order, like equivalence_classes.
     """
     if not 2 <= n <= MAX_CLOSURE_ORDER:
         raise OrderError(

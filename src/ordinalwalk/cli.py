@@ -238,6 +238,8 @@ def _tie_policy(args, cfg) -> TiePolicy | None:
     if kind is None:
         return None
     scale = _get(args, cfg, "jitter_scale")
+    if kind == "jitter" and (scale is None or not float(scale) > 0):
+        raise _UsageError("--ties jitter needs --jitter-scale > 0")
     if scale is not None:
         return TiePolicy(kind, jitter_scale=float(scale))
     return TiePolicy(kind)

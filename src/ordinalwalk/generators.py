@@ -14,7 +14,7 @@ from typing import Literal
 import numpy as np
 
 from .errors import SpecError
-from .nullmodels import StepModel, _sample_steps
+from .nullmodels import StepModel, _sample_steps, _walks
 from .patterns import TimeSeries
 
 _KINDS = ("iid_uniform", "walk", "logistic", "mod10", "sine")
@@ -74,10 +74,7 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
         return TimeSeries(rng.random(spec.length))
     if spec.kind == "walk":
         rng = np.random.default_rng(spec.seed)
-        walk = np.zeros(spec.length)
-        if spec.length > 1:
-            np.cumsum(_sample_steps(spec.step, spec.length - 1, rng), out=walk[1:])
-        return TimeSeries(walk)
+        return TimeSeries(_walks(_sample_steps(spec.step, spec.length - 1, rng)))
     if spec.kind == "logistic":
         return _logistic(float(spec.x0), spec.length)
     if spec.kind == "mod10":

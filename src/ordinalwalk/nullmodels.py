@@ -10,8 +10,15 @@ closed_form_normal_zero_mean   exact table, centered normal steps, n <= 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
 associated_walk                long walk resampled from a series' own steps
+build_nulls                    one realized null per order; an associated
+                               null ranks a single walk at every order
 kl_to_null                     divergence of a series from a chosen null
-bootstrap_band                 replicate divergences against a shared null
+bootstrap_band                 replicate divergences against the same null
+
+An analysis run draws one associated null per series and seed, ranks it
+at every order at once, and scores both the series (kl_to_model) and
+every bootstrap replicate against it, so the band measures replicate
+noise around the very null the series is held to.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
 through the step sign flip, which maps b to 1-b and every pattern to its
@@ -29,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -42,9 +49,12 @@ from .patterns import (
     PatternDistribution,
     TiePolicy,
     TimeSeries,
-    _window_ranks,
+    _as_values,
+    _lag_ranks,
     empirical_distribution,
+    empirical_distributions,
     lex_unrank,
+    pattern_counts,
     symmetry_transform,
 )
 
@@ -113,6 +123,13 @@ class StepModel:
         if self.family == "normal":
             return f"normal(mu={self.mu}, sigma={self.sigma})"
         return f"empirical({self.steps.size} steps)"
+
+
+def _walks(steps: np.ndarray, order="C") -> np.ndarray:
+    """Walks from 0 along the last axis, one step per entry of steps."""
+    z = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), order=order)
+    np.cumsum(steps, axis=-1, out=z[..., 1:])
+    return z
 
 
 def _sample_steps(model: StepModel, shape, rng: np.random.Generator) -> np.ndarray:
@@ -255,7 +272,9 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 # Monte Carlo
 # --------------------------------------------------------------------------
 
-_MC_CHUNK = 1 << 20
+#: walk values drawn and ranked at a time, which bounds the memory of
+#: Monte Carlo and bootstrap draws; the draws do not depend on it
+_CHUNK = 1 << 20
 
 
 def monte_carlo_distribution(
@@ -276,10 +295,11 @@ def monte_carlo_distribution(
     counts = np.zeros(_FACT[n], dtype=np.int64)
     remaining = samples
     while remaining > 0:
-        k = min(_MC_CHUNK, remaining)
-        z = np.zeros((k, n))
-        np.cumsum(_sample_steps(model, (k, n - 1), rng), axis=1, out=z[:, 1:])
-        counts += np.bincount(_window_ranks(z, strict=False), minlength=_FACT[n])
+        k = min(_CHUNK // n, remaining)
+        # column-major, so the kernel's loops run down k walks, not along n
+        z = _walks(_sample_steps(model, (k, n - 1), rng), order="F")
+        _, ranks = next(_lag_ranks(z, (n,), 1, False))
+        counts += np.bincount(ranks.ravel(), minlength=_FACT[n])
         remaining -= k
     return PatternDistribution(n, counts / samples, "model", samples)
 
@@ -411,24 +431,24 @@ def default_walk_length(n_obs: int) -> int:
     return max(1_000_000, 100 * n_obs)
 
 
+def _resampled_walks(values: np.ndarray, shape, rng) -> np.ndarray:
+    """Walks from 0 whose steps are resampled (with replacement) from the
+    first differences of values; shape[-1] is the walk length."""
+    if values.size < 2:
+        raise LengthError("need at least two observations to extract steps")
+    if shape[-1] < 2:
+        raise LengthError(f"walk length must be >= 2, got {shape[-1]}")
+    return _walks(rng.choice(np.diff(values), size=shape[:-1] + (shape[-1] - 1,)))
+
+
 def associated_walk(series, length: int, seed=0) -> TimeSeries:
     """A walk of the given length whose steps are resampled (with
     replacement) from the observed first differences of the series.
 
     Starts at 0; the output has exactly `length` values.
     """
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-    if values.size < 2:
-        raise LengthError("need at least two observations to extract steps")
-    if length < 2:
-        raise LengthError(f"walk length must be >= 2, got {length}")
-    steps = np.diff(values)
     rng = np.random.default_rng(seed)
-    draws = rng.choice(steps, size=length - 1, replace=True)
-    walk = np.empty(length)
-    walk[0] = 0.0
-    np.cumsum(draws, out=walk[1:])
-    return TimeSeries(walk)
+    return TimeSeries(_resampled_walks(_as_values(series), (length,), rng))
 
 
 @dataclass(frozen=True)
@@ -518,17 +538,33 @@ class NullModel:
         }
 
 
+def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]:
+    """Realize a NullSpec at several orders, one NullModel per order.
+
+    An associated null draws one walk from `seed` and ranks it at every
+    order in one pass; a parametric null gives each order its own child
+    of `seed`.
+    """
+    if spec.kind != "associated":
+        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        return tuple(build_null(series, n, spec, child)
+                     for n, child in zip(orders, base.spawn(len(orders))))
+    values = _as_values(series)
+    walk = associated_walk(values, spec.walk_length or default_walk_length(values.size), seed)
+    model = StepModel.empirical(np.diff(values))
+    dists = empirical_distributions(walk, orders)
+    return tuple(
+        NullModel(model, n, PatternDistribution(n, dists[n].weights, "model",
+                                                dists[n].sample_count),
+                  "monte_carlo", dists[n].sample_count, _seed_int(seed))
+        for n in orders
+    )
+
+
 def build_null(series, n: int, spec: NullSpec, seed=0) -> NullModel:
     """Realize a NullSpec for a given series and order."""
     if spec.kind == "associated":
-        values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-        length = spec.walk_length or default_walk_length(values.size)
-        walk = associated_walk(values, length, seed)
-        dist = empirical_distribution(walk, n)
-        dist = PatternDistribution(n, dist.weights, "model", dist.sample_count)
-        model = StepModel.empirical(np.diff(values))
-        return NullModel(model, n, dist, "monte_carlo", dist.sample_count,
-                         _seed_int(seed))
+        return build_nulls(series, (n,), spec, seed)[0]
     if spec.kind == "uniform":
         model = StepModel.uniform(spec.b)
         if spec.closed_form:
@@ -605,37 +641,46 @@ class BandResult:
 
 def bootstrap_band(
     series,
-    n: int,
+    nulls: Sequence[PatternDistribution],
     replicates: int = 400,
     walk_length: int | None = None,
     seed=0,
     d: int = 1,
     policy: TiePolicy | None = None,
     smoothing: float = 1.0,
-    null_walk_length: int | None = None,
-) -> BandResult:
+) -> tuple[BandResult, ...]:
     """Spread of the KL-to-null statistic under the series' own step law.
 
-    Builds one shared associated-walk null from the series, then generates
-    `replicates` independent associated walks of walk_length (default: the
-    series length) and measures each against that shared null. Replicate
-    seed streams derive from `seed`, so results are bit-identical across
-    runs and independent of evaluation order.
+    Draws `replicates` associated walks of walk_length (default: the
+    series length) from `seed` as one (replicates, walk_length) stack,
+    ranks the stack at every null's order in one pass, and scores each
+    replicate against that null, the one the series itself is scored
+    against. Under a jitter policy the stack is jittered once from the
+    same stream. Takes one null per order and returns one BandResult per
+    null; bit-identical across runs.
     """
     if replicates < 2:
         raise RangeError(f"need at least 2 replicates, got {replicates}")
-    values = series.values if isinstance(series, TimeSeries) else np.asarray(series, float)
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    children = base.spawn(replicates + 1)
-    null_length = null_walk_length or default_walk_length(values.size)
-    null_walk = associated_walk(values, null_length, children[0])
-    q = empirical_distribution(null_walk, n)
-    q = PatternDistribution(n, q.weights, "model", q.sample_count)
+    values = _as_values(series)
     length = walk_length or values.size
-    draws = []
-    for child in children[1:]:
-        replica = associated_walk(values, length, child)
-        p = empirical_distribution(replica, n, d, policy)
-        draws.append(_kl_with_fallback(p, q, smoothing))
-    arr = np.asarray(draws)
-    return BandResult(float(arr.mean()), float(arr.std(ddof=1)), tuple(draws))
+    rng = np.random.default_rng(seed)
+    jitter = policy is not None and policy.mode == "jitter"
+    null_of = {q.order: q for q in nulls}
+    draws: dict[int, list[float]] = {n: [] for n in null_of}
+    block = max(1, _CHUNK // length)
+    for start in range(0, replicates, block):
+        stack = _resampled_walks(values, (min(block, replicates - start), length), rng)
+        if jitter:
+            stack += rng.normal(0.0, policy.jitter_scale, stack.shape)
+        counts = pattern_counts(stack, null_of, d, None if jitter else policy)
+        for n, rows in counts.items():
+            windows = length - (n - 1) * d
+            draws[n] += [
+                _kl_with_fallback(PatternDistribution(n, row / windows, "empirical", windows),
+                                  null_of[n], smoothing)
+                for row in rows
+            ]
+    return tuple(
+        BandResult(float(np.mean(kl)), float(np.std(kl, ddof=1)), tuple(kl))
+        for kl in (draws[q.order] for q in nulls)
+    )

@@ -10,6 +10,7 @@ Main entry points
 standardize            pattern of a single window
 extract_patterns       all patterns of a series (order n, delay d)
 empirical_distribution relative pattern frequencies of a series
+pattern_counts         window counts at several orders, of a series or a stack
 lex_rank / lex_unrank  bijection between patterns and 0..n!-1
 symmetry_transform     complement / reverse / reverse-complement
 """
@@ -270,7 +271,12 @@ def symmetry_transform(
 def _as_values(series) -> np.ndarray:
     if isinstance(series, TimeSeries):
         return series.values
-    return TimeSeries(np.asarray(series, dtype=np.float64)).values
+    arr = np.asarray(series, dtype=np.float64)
+    if arr.ndim == 2:  # a stack of equal-length series, one per row
+        if arr.size == 0 or not np.isfinite(arr).all():
+            raise RangeError("a series stack must be nonempty and finite")
+        return arr
+    return TimeSeries(arr).values
 
 
 def _apply_jitter(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
@@ -278,48 +284,86 @@ def _apply_jitter(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
     return values + rng.normal(0.0, policy.jitter_scale, size=values.shape)
 
 
-def _window_ranks(rows: np.ndarray, strict: bool) -> np.ndarray:
-    """Lex ranks of each row of a (windows x n) matrix.
+def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
+    """Yield (n, ranks) for each requested order n, in increasing order.
 
-    Equal values rank earlier-index-smaller; under strict=True any
-    duplicate raises TieError instead.
+    ranks holds the lex rank of every length-n, delay-d window along the
+    last axis of x (a series, or a stack with one series per row). All
+    orders share one set of lag comparisons c_k[t] = x[t+kd] < x[t]
+    (the Lehmer code): with S_m = c_1 + ... + c_m,
+    rank_{m+1}[t] = m! S_m[t] + rank_m[t+d]. Equal values rank
+    earlier-index-smaller; under strict=True a duplicate within any window
+    of a requested order raises TieError instead. Each yielded array feeds
+    the next order's ranks, so callers reduce it (to counts, say) without
+    modifying it before resuming.
     """
-    m, n = rows.shape
+    size = x.shape[-1]
+    below = np.zeros_like(x, dtype=np.int8)  # S_m, shrinking by d per m
+    rank = np.broadcast_to(np.int32(0), x.shape)  # rank_1; 12! < 2**31
     if strict:
-        sorted_rows = np.sort(rows, axis=1)
-        if np.any(sorted_rows[:, 1:] == sorted_rows[:, :-1]):
-            raise TieError("window contains duplicate values (strict ties)")
-    ranks = np.zeros(m, dtype=np.int64)
-    for i in range(n - 1):
-        col = rows[:, i]
-        smaller_after = np.zeros(m, dtype=np.int64)
-        for j in range(i + 1, n):
-            smaller_after += rows[:, j] < col
-        ranks += smaller_after * _FACT[n - 1 - i]
-    return ranks
+        equal = np.zeros_like(x, dtype=bool)  # any equal lag up to m
+        tied = np.broadcast_to(False, x.shape)  # any equal pair in the window
+    for m in range(1, max(orders)):
+        width = size - m * d
+        below = below[..., :width]
+        below += x[..., m * d:] < x[..., :width]
+        step = below.astype(np.int32)
+        step *= _FACT[m]
+        step += rank[..., d:]
+        rank = step
+        if strict:
+            equal = equal[..., :width]
+            equal |= x[..., m * d:] == x[..., :width]
+            tied = equal | tied[..., d:]
+        if m + 1 in orders:
+            if strict and tied.any():
+                raise TieError("window contains duplicate values (strict ties)")
+            yield m + 1, rank
 
 
-def _series_ranks(
-    series, n: int, d: int, policy: TiePolicy | None
-) -> np.ndarray:
-    """Lex rank of every length-n, delay-d window of the series."""
+def _prepared(series, orders, d: int, policy: TiePolicy | None):
+    """Validated (and, under jitter, perturbed) values for _lag_ranks."""
     policy = policy or TiePolicy()
-    if not 2 <= n <= MAX_ORDER:
-        raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+    if not orders or not all(2 <= n <= MAX_ORDER for n in orders):
+        raise RangeError(f"orders must lie in [2, {MAX_ORDER}], got {tuple(orders)}")
     if d < 1:
         raise RangeError(f"delay must be >= 1, got {d}")
     values = _as_values(series)
+    n = max(orders)
     span = (n - 1) * d + 1
-    if values.size < span:
+    if values.shape[-1] < span:
         raise LengthError(
-            f"series of length {values.size} is too short for order {n} "
+            f"series of length {values.shape[-1]} is too short for order {n} "
             f"at delay {d} (needs {span})"
         )
     if policy.mode == "jitter":
         values = _apply_jitter(values, policy)
-    m = values.size - (n - 1) * d
-    idx = np.arange(m)[:, None] + np.arange(n)[None, :] * d
-    return _window_ranks(values[idx], strict=policy.mode == "strict")
+    return values, policy.mode == "strict"
+
+
+def pattern_counts(
+    series,
+    orders: Iterable[int],
+    d: int = 1,
+    policy: TiePolicy | None = None,
+) -> dict[int, np.ndarray]:
+    """Window counts per lex rank at every requested order, in one pass.
+
+    series is one series, or a 2-D stack with one series per row; the
+    counts of order n then have shape (n!,) or (rows, n!).
+    """
+    orders = sorted(set(int(n) for n in orders))
+    values, strict = _prepared(series, orders, d, policy)
+    out = {}
+    for n, ranks in _lag_ranks(values, orders, d, strict):
+        if ranks.ndim == 1:
+            out[n] = np.bincount(ranks, minlength=_FACT[n])
+        else:
+            rows = ranks.shape[0]
+            offset = np.arange(rows, dtype=np.intp)[:, None] * _FACT[n]
+            flat = np.bincount((ranks + offset).ravel(), minlength=rows * _FACT[n])
+            out[n] = flat.reshape(rows, _FACT[n])
+    return out
 
 
 def standardize(window: Sequence[float], policy: TiePolicy | None = None) -> OrdinalPattern:
@@ -367,7 +411,8 @@ def extract_patterns(
     Windows are (x_t, x_{t+d}, ..., x_{t+(n-1)d}) for t = 1..N-(n-1)d, so
     exactly N-(n-1)d patterns come back, in series order.
     """
-    ranks = _series_ranks(series, n, d, policy)
+    values, strict = _prepared(series, (n,), d, policy)
+    _, ranks = next(_lag_ranks(values, (n,), d, strict))
     cache: dict[int, OrdinalPattern] = {}
     out = []
     for r in ranks:
@@ -393,6 +438,19 @@ def empirical_distribution(
         kind "empirical", sample_count = number of windows. The output is
         invariant under positive affine maps of the input values.
     """
-    ranks = _series_ranks(series, n, d, policy)
-    counts = np.bincount(ranks, minlength=_FACT[n])
-    return PatternDistribution(n, counts / ranks.size, "empirical", ranks.size)
+    return empirical_distributions(series, (n,), d, policy)[n]
+
+
+def empirical_distributions(
+    series,
+    orders: Iterable[int],
+    d: int = 1,
+    policy: TiePolicy | None = None,
+) -> dict[int, PatternDistribution]:
+    """empirical_distribution at several orders, from one pass of the
+    rank kernel; keyed by order."""
+    out = {}
+    for n, counts in pattern_counts(series, orders, d, policy).items():
+        windows = int(counts.sum())
+        out[n] = PatternDistribution(n, counts / windows, "empirical", windows)
+    return out

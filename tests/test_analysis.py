@@ -74,6 +74,13 @@ def test_ingest_short_row(tmp_path):
         ingest_csv(path, column=1)
 
 
+def test_ingest_negative_column_rejected(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(ParseError, match="column index"):
+        ingest_csv(path, column=-1)
+
+
 def test_ingest_empty_file(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("")

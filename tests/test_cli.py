@@ -102,6 +102,12 @@ def test_out_of_range_b_is_numerical_error(tmp_path):
     assert code == 3
 
 
+def test_jitter_without_scale_is_usage_error(tmp_path, capsys):
+    path = _walk_csv(tmp_path)
+    assert main(["analyze", str(path), "--ties", "jitter", *FAST_FLAGS]) == 1
+    assert "--jitter-scale" in capsys.readouterr().err
+
+
 def test_short_series_is_data_error(tmp_path):
     path = tmp_path / "tiny.csv"
     path.write_text("1.0\n2.0\n3.0\n")

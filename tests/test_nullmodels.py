@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinalwalk import nullmodels
 from ordinalwalk import (
     LengthError,
     NullSpec,
     OrderError,
     OrdinalPattern,
+    PatternDistribution,
     RangeError,
     StepModel,
+    TiePolicy,
     TimeSeries,
     all_patterns,
     associated_walk,
     bootstrap_band,
     build_null,
+    build_nulls,
     closed_form_normal_zero_mean,
     closed_form_uniform,
     default_walk_length,
@@ -259,24 +263,58 @@ def test_kl_to_null_accepts_step_model_and_spec():
     assert against_exact == pytest.approx(against_mc, abs=0.01)
 
 
+def _own_null(series, n, seed=0):
+    return build_null(series, n, NullSpec(walk_length=50_000), seed=seed).distribution
+
+
 def test_bootstrap_band_reproducible():
     series = generate(GeneratorSpec("walk", 300, seed=6, step=StepModel.uniform(0.55)))
-    a = bootstrap_band(series, 3, replicates=20, seed=77)
-    b = bootstrap_band(series, 3, replicates=20, seed=77)
+    q = _own_null(series, 3)
+    a, = bootstrap_band(series, [q], replicates=20, seed=77)
+    b, = bootstrap_band(series, [q], replicates=20, seed=77)
     assert a == b
     assert len(a.samples) == 20
     assert a.std >= 0.0
 
 
 def test_bootstrap_band_degenerate_zero():
-    band = bootstrap_band(np.arange(40.0), 3, replicates=5, seed=1)
+    band, = bootstrap_band(np.arange(40.0), [_own_null(np.arange(40.0), 3)],
+                           replicates=5, seed=1)
     assert band.mean == 0.0 and band.std == 0.0
     assert band.samples == (0.0,) * 5
 
 
 def test_bootstrap_band_replicate_guard():
     with pytest.raises(RangeError):
-        bootstrap_band(np.arange(40.0), 3, replicates=1)
+        bootstrap_band(np.arange(40.0), [PatternDistribution.uniform(3)], replicates=1)
+
+
+def test_bootstrap_band_all_orders_match_one_at_a_time():
+    series = generate(GeneratorSpec("walk", 400, seed=3, step=StepModel.uniform(0.6)))
+    q3, q5 = _own_null(series, 3), _own_null(series, 5)
+    both = bootstrap_band(series, [q3, q5], replicates=12, seed=4)
+    assert both == (bootstrap_band(series, [q3], replicates=12, seed=4)
+                    + bootstrap_band(series, [q5], replicates=12, seed=4))
+
+
+def test_bootstrap_band_blocks_do_not_change_the_draws(monkeypatch):
+    # the stack is drawn and ranked in blocks of rows to bound memory; the
+    # replicate walks are the same rows of one stream whatever the block
+    series = generate(GeneratorSpec("walk", 300, seed=8, step=StepModel.uniform(0.6)))
+    q = _own_null(series, 4)
+    whole = bootstrap_band(series, [q], replicates=7, seed=2)
+    monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
+    assert bootstrap_band(series, [q], replicates=7, seed=2) == whole
+
+
+def test_bootstrap_band_jitter_gives_a_spread():
+    # constant steps make every replicate walk identical; the jitter must
+    # differ between replicates, or the band collapses to zero width
+    series = np.arange(60.0)
+    band, = bootstrap_band(
+        series, [build_null(series, 3, NullSpec(walk_length=5000), seed=1).distribution],
+        replicates=5, seed=1, policy=TiePolicy("jitter", jitter_scale=0.5))
+    assert band.std > 0.0
 
 
 # --------------------------------------------------------------- build_null
@@ -295,6 +333,25 @@ def test_build_null_associated_uses_series_steps():
     assert model.sample_count == 50_000 - 2
     # a b = 0.8 walk's resampled null leans heavily on ascents
     assert model.distribution.weights[0] > 0.5
+
+
+def test_build_nulls_ranks_one_associated_walk_at_every_order():
+    series = generate(GeneratorSpec("walk", 300, seed=9, step=StepModel.uniform(0.7)))
+    spec = NullSpec("associated", walk_length=20_000)
+    nulls = build_nulls(series, (3, 4, 6), spec, seed=5)
+    assert [m.order for m in nulls] == [3, 4, 6]
+    for m in nulls:
+        single = build_null(series, m.order, spec, seed=5)
+        assert np.array_equal(m.distribution.weights, single.distribution.weights)
+        assert m.sample_count == 20_000 - (m.order - 1)
+
+
+def test_build_nulls_parametric_children_differ_per_order():
+    spec = NullSpec("uniform", b=0.6, samples=2000)
+    a, b = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
+    assert not np.array_equal(a.distribution.weights, b.distribution.weights)
+    again = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
+    assert np.array_equal(again[1].distribution.weights, b.distribution.weights)
 
 
 def test_null_model_json_shape():

@@ -1,5 +1,7 @@
 """Pattern extraction mechanics: standardize, ranking, symmetries, windows."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -18,9 +20,11 @@ from ordinalwalk import (
     extract_patterns,
     lex_rank,
     lex_unrank,
+    pattern_counts,
     standardize,
     symmetry_transform,
 )
+from ordinalwalk.patterns import _FACT, _lag_ranks, _prepared
 
 # ---------------------------------------------------------------- examples
 
@@ -217,3 +221,99 @@ class TestVectorizedAgainstStandardize:
         for i, pat in enumerate(pats):
             window = [series[i + j * d] for j in range(n)]
             assert standardize(window) == pat
+
+
+def _pairwise_window_ranks(rows: np.ndarray, strict: bool) -> np.ndarray:
+    """The pairwise (windows x n) kernel that the lag-comparison kernel
+    replaced, kept as the reference it must reproduce."""
+    m, n = rows.shape
+    if strict:
+        sorted_rows = np.sort(rows, axis=1)
+        if np.any(sorted_rows[:, 1:] == sorted_rows[:, :-1]):
+            raise TieError("window contains duplicate values (strict ties)")
+    ranks = np.zeros(m, dtype=np.int64)
+    for i in range(n - 1):
+        col = rows[:, i]
+        smaller_after = np.zeros(m, dtype=np.int64)
+        for j in range(i + 1, n):
+            smaller_after += rows[:, j] < col
+        ranks += smaller_after * _FACT[n - 1 - i]
+    return ranks
+
+
+def _reference_ranks(values: np.ndarray, n: int, d: int, strict: bool) -> np.ndarray:
+    # gather every window along the last axis, then rank pairwise
+    m = values.shape[-1] - (n - 1) * d
+    windows = values[..., np.arange(m)[:, None] + np.arange(n)[None, :] * d]
+    return _pairwise_window_ranks(windows.reshape(-1, n), strict).reshape(windows.shape[:-1])
+
+
+@st.composite
+def kernel_cases(draw):
+    orders = sorted(draw(st.sets(st.integers(2, 7), min_size=1, max_size=3)))
+    d = draw(st.integers(1, 3))
+    span = (max(orders) - 1) * d + 1
+    length = draw(st.integers(span, span + 12))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    shape = (length,) if rows is None else (rows, length)
+    size = int(np.prod(shape))
+    top = draw(st.sampled_from([1, 4, None]))
+    if top is None:
+        # distinct values with at most one planted tie, wherever it falls
+        flat = [float(v) for v in draw(st.permutations(range(size)))]
+        if draw(st.booleans()):
+            flat[draw(st.integers(0, size - 1))] = flat[draw(st.integers(0, size - 1))]
+    else:  # small ranges force many ties
+        flat = draw(st.lists(st.integers(0, top).map(float),
+                             min_size=size, max_size=size))
+    mode = draw(st.sampled_from(["stable", "strict", "jitter"]))
+    return np.array(flat).reshape(shape), orders, d, mode
+
+
+class TestLagKernelAgainstPairwise:
+    """The lag-comparison kernel must give the pairwise kernel's ranks bit
+    for bit, and raise TieError in exactly the same cases, for series and
+    for stacks of series."""
+
+    @given(kernel_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_ranks_and_tie_errors_match(self, case):
+        values, orders, d, mode = case
+        policy = TiePolicy(mode, jitter_scale=0.5 if mode == "jitter" else 0.0, seed=7)
+        ranked = values
+        if mode == "jitter":
+            ranked = values + np.random.default_rng(7).normal(0.0, 0.5, values.shape)
+        expected, tie = {}, False
+        for n in orders:
+            try:
+                expected[n] = _reference_ranks(ranked, n, d, mode == "strict")
+            except TieError:
+                tie = True
+        prepared, strict = _prepared(values, orders, d, policy)
+        if tie:
+            with pytest.raises(TieError):
+                list(_lag_ranks(prepared, orders, d, strict))
+            with pytest.raises(TieError):
+                pattern_counts(values, orders, d, policy)
+            return
+        got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d, strict)}
+        assert sorted(got) == orders
+        counts = pattern_counts(values, orders, d, policy)
+        for n in orders:
+            assert np.array_equal(got[n], expected[n])
+            per_row = np.atleast_2d(expected[n])
+            want = np.array([np.bincount(r, minlength=_FACT[n]) for r in per_row])
+            assert np.array_equal(np.atleast_2d(counts[n]), want)
+
+
+def test_kernel_memory_on_a_long_walk():
+    # one 1e6-point walk ranked at n = 7 must not materialize a
+    # (windows x n) gather; this bounds the kernel's peak allocation
+    walk = np.cumsum(np.random.default_rng(3).normal(size=1_000_000))
+    tracemalloc.start()
+    try:
+        empirical_distribution(walk, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
