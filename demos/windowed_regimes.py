@@ -35,7 +35,7 @@ def main():
     series = spliced_series()
     config = AnalysisConfig(
         orders=(4,),
-        null=NullSpec("associated", walk_length=200_000),
+        null=NullSpec(walk_length=200_000),
         replicates=100,
         seed=3,
     )

@@ -40,14 +40,16 @@ from .nullmodels import (
     build_nulls,
 )
 from .patterns import (
+    MAX_ORDER,
     PatternDistribution,
     TiePolicy,
     TimeSeries,
+    _apply_jitter,
     empirical_distributions,
     lex_unrank,
 )
 
-_MIN_ORDER, _MAX_ORDER = 3, 7
+_MIN_ORDER = 3
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,8 @@ class AnalysisConfig:
     orders are the pattern lengths to report on (each in [3, 7]); delay,
     tie policy, and smoothing feed pattern extraction and divergence;
     null picks the reference model; replicates sets the bootstrap size
-    (0 disables the band).
+    (0 disables the band). A jitter policy's noise is drawn from the run's
+    seed, so the policy's own seed must stay 0.
     """
 
     orders: tuple[int, ...] = (4, 5)
@@ -72,11 +75,13 @@ class AnalysisConfig:
         orders = tuple(sorted(set(int(n) for n in self.orders)))
         if not orders:
             raise RangeError("need at least one order")
-        if orders[0] < _MIN_ORDER or orders[-1] > _MAX_ORDER:
+        if orders[0] < _MIN_ORDER or orders[-1] > MAX_ORDER:
             raise RangeError(
-                f"orders must lie in [{_MIN_ORDER}, {_MAX_ORDER}], got {self.orders}"
+                f"orders must lie in [{_MIN_ORDER}, {MAX_ORDER}], got {self.orders}"
             )
         object.__setattr__(self, "orders", orders)
+        if self.policy is not None and self.policy.mode == "jitter" and self.policy.seed:
+            raise RangeError("analysis jitters from the run seed; leave the policy's seed at 0")
         if self.delay < 1:
             raise RangeError(f"delay must be >= 1, got {self.delay}")
         if self.replicates < 0:
@@ -160,6 +165,11 @@ def ingest_csv(path, column: int | str = 0, header: bool = False) -> TimeSeries:
 # analysis
 # --------------------------------------------------------------------------
 
+def _as_series(series) -> TimeSeries:
+    # unlike patterns._as_values, this rejects a 2-D stack of series
+    return series if isinstance(series, TimeSeries) else TimeSeries(series)
+
+
 @dataclass(frozen=True)
 class OrderAnalysis:
     """One order's report plus the distributions behind it."""
@@ -188,9 +198,10 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     window_start keys the derived random streams (the whole series is
     window 1), so a length-N window at start 1 reproduces the whole-series
     analysis exactly. One null per run, from the run's null key, serves
-    both kl_to_model and the band, whose replicates come from the band key.
+    both kl_to_model and the band, whose replicates come from the band key;
+    a jitter policy perturbs the series from the jitter key.
     """
-    ts = series if isinstance(series, TimeSeries) else TimeSeries(series)
+    ts = _as_series(series)
     needed = (max(config.orders) - 1) * config.delay + 1
     if len(ts) < needed:
         raise LengthError(
@@ -198,9 +209,12 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
             f"{max(config.orders)} at delay {config.delay} (needs {needed})"
         )
     base = np.random.SeedSequence(config.seed, spawn_key=(window_start,))
-    null_key, band_key = base.spawn(2)
-    empiricals = empirical_distributions(
-        ts, (2,) + config.orders, config.delay, config.policy)
+    null_key, band_key, jitter_key = base.spawn(3)
+    values, policy = ts, config.policy
+    if policy is not None and policy.mode == "jitter":
+        # rank a copy jittered from the run's key, with stable ties
+        values, policy = _apply_jitter(ts.values, policy.jitter_scale, jitter_key), None
+    empiricals = empirical_distributions(values, (2,) + config.orders, config.delay, policy)
     dist2 = empiricals[2]
     nulls = build_nulls(ts, config.orders, config.null, null_key)
     bands = [None] * len(nulls)
@@ -243,7 +257,7 @@ def windowed_run(
 ) -> list[AnalysisResult]:
     """Analyze every window position; window starts are 1-based."""
     config = config or AnalysisConfig()
-    ts = series if isinstance(series, TimeSeries) else TimeSeries(series)
+    ts = _as_series(series)
     w, s = wspec.window_length, wspec.stride
     if w > len(ts):
         raise LengthError(

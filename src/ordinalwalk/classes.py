@@ -23,6 +23,7 @@ import numpy as np
 from .errors import OrderError, OrderMismatchError
 from .patterns import (
     _FACT,
+    MAX_ORDER,
     OrdinalPattern,
     PatternDistribution,
     lex_unrank,
@@ -80,9 +81,6 @@ _N5_CLASSES = [
 ]
 
 _TABLES = {3: _N3_CLASSES, 4: _N4_CLASSES, 5: _N5_CLASSES}
-
-#: rc_closure supports orders up to here; n! grows too fast beyond.
-MAX_CLOSURE_ORDER = 7
 
 
 def _rc_rank(n: int, rank: int) -> int:
@@ -164,10 +162,8 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
     validated once per order, like equivalence_classes.
     """
-    if not 2 <= n <= MAX_CLOSURE_ORDER:
-        raise OrderError(
-            f"rc closure supports orders 2..{MAX_CLOSURE_ORDER}, got {n}"
-        )
+    if not 2 <= n <= MAX_ORDER:
+        raise OrderError(f"rc closure supports orders 2..{MAX_ORDER}, got {n}")
     seen = set()
     groups = []
     for r in range(_FACT[n]):

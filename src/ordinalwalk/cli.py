@@ -3,7 +3,8 @@
 Subcommands: analyze, window, simulate, nullmodel, classes, oracle.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
 support error. A JSON config file (--config) supplies defaults for any
-long flag (keys use underscores); explicit flags win. In --strict mode
+long flag (keys use underscores; a string or number value is read as
+the flag's own text would be); explicit flags win. In --strict mode
 every run that consumes randomness must name its --seed.
 """
 
@@ -35,7 +36,7 @@ from .errors import (
 )
 from .generators import GeneratorSpec, generate
 from .nullmodels import NullSpec, StepModel, build_null, closed_form_uniform, volume_oracle
-from .patterns import TiePolicy, lex_unrank, _FACT
+from .patterns import TiePolicy, all_patterns
 
 
 class _UsageError(Exception):
@@ -61,10 +62,24 @@ def _comma_floats(text: str) -> tuple[float, ...]:
         raise _UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _build_parser() -> _Parser:
+def _index_or_name(text: str) -> int | str:
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
+def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and its subcommand parsers by name."""
     parser = _Parser(prog="ordinalwalk",
                      description="ordinal-pattern analysis against random-walk nulls")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands: dict[str, _Parser] = {}
+
+    def command(name, func, help):
+        p = commands[name] = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
     def common(p, *, seeded=True):
         p.add_argument("--config", help="JSON file of flag defaults")
@@ -74,116 +89,114 @@ def _build_parser() -> _Parser:
         if seeded:
             p.add_argument("--seed", type=int, help="random seed (default 0)")
 
-    def ingest_flags(p):
-        p.add_argument("input", help="CSV file of values")
-        p.add_argument("--column", default=None,
+    def step_flags(p):
+        p.add_argument("--b", type=float, default=0.5, help="uniform step model's P(Y > 0)")
+        p.add_argument("--mu", type=float, default=0.0, help="normal step mean")
+        p.add_argument("--sigma", type=float, default=1.0, help="normal step deviation")
+
+    def column_flags(p):
+        p.add_argument("--column", type=_index_or_name, default=0,
                        help="column index or (with --header) name, default 0")
-        p.add_argument("--header", action=argparse.BooleanOptionalAction,
+        p.add_argument("--header", action=argparse.BooleanOptionalAction, default=False,
                        help="treat the first row as a header")
 
     def analysis_flags(p):
-        p.add_argument("--orders", type=_comma_ints, help="pattern lengths, e.g. 4,5")
-        p.add_argument("--delay", type=int, help="pattern delay d (default 1)")
-        p.add_argument("--ties", choices=("stable", "strict", "jitter"),
+        p.add_argument("input", help="CSV file of values")
+        column_flags(p)
+        p.add_argument("--orders", type=_comma_ints, default=(4, 5),
+                       help="pattern lengths, e.g. 4,5")
+        p.add_argument("--delay", type=int, default=1, help="pattern delay d (default 1)")
+        p.add_argument("--ties", choices=("stable", "strict", "jitter"), default="stable",
                        help="tie policy (default stable)")
-        p.add_argument("--jitter-scale", type=float, dest="jitter_scale")
+        p.add_argument("--jitter-scale", type=float, dest="jitter_scale", default=0.0)
         p.add_argument("--null", choices=("associated", "uniform", "normal"),
-                       help="null model kind (default associated)")
+                       default="associated", help="null model kind (default associated)")
         p.add_argument("--walk-length", type=int, dest="walk_length",
                        help="associated-null walk length (default max(1e6, 100N))")
-        p.add_argument("--b", type=float, help="uniform step model's P(Y > 0)")
-        p.add_argument("--mu", type=float, help="normal step mean")
-        p.add_argument("--sigma", type=float, help="normal step deviation")
+        step_flags(p)
         p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
-                       dest="closed_form", help="use exact null tables (n <= 4)")
-        p.add_argument("--null-samples", type=int, dest="null_samples",
+                       dest="closed_form", default=False,
+                       help="use exact null tables (n <= 4)")
+        p.add_argument("--null-samples", type=int, dest="null_samples", default=1_000_000,
                        help="Monte Carlo draws for parametric nulls (default 1e6)")
-        p.add_argument("--replicates", "-R", type=int,
+        p.add_argument("--replicates", "-R", type=int, default=400,
                        help="bootstrap replicates (default 400, 0 disables)")
-        p.add_argument("--smoothing", type=float,
+        p.add_argument("--smoothing", type=float, default=1.0,
                        help="pseudocount for sampled nulls (default 1)")
-        p.add_argument("--format", choices=("json", "csv", "plotdata"),
+        p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json",
                        help="output format (default json)")
 
-    p = sub.add_parser("analyze", help="whole-series pattern metrics")
-    ingest_flags(p)
+    p = command("analyze", _cmd_analyze, "whole-series pattern metrics")
     analysis_flags(p)
     common(p)
-    p.set_defaults(func=_cmd_analyze)
 
-    p = sub.add_parser("window", help="sliding-window pattern metrics")
-    ingest_flags(p)
+    p = command("window", _cmd_analyze, "sliding-window pattern metrics")
     analysis_flags(p)
-    p.add_argument("--window", "-W", type=int, dest="window_length",
+    p.add_argument("--window", "-W", type=int, dest="window_length", default=1258,
                    help="window length in samples (default 1258)")
-    p.add_argument("--stride", "-S", type=int, help="window stride (default 250)")
+    p.add_argument("--stride", "-S", type=int, default=250,
+                   help="window stride (default 250)")
     common(p)
-    p.set_defaults(func=_cmd_window)
 
-    p = sub.add_parser("simulate", help="emit a synthetic series")
+    p = command("simulate", _cmd_simulate, "emit a synthetic series")
     p.add_argument("--kind", choices=("iid_uniform", "walk", "logistic", "mod10", "sine"))
     p.add_argument("--length", "-N", type=int, help="number of samples")
     p.add_argument("--step-family", choices=("uniform", "normal"), dest="step_family",
                    help="walk step law")
-    p.add_argument("--b", type=float, help="uniform step model's P(Y > 0)")
-    p.add_argument("--mu", type=float, help="normal step mean")
-    p.add_argument("--sigma", type=float, help="normal step deviation")
-    p.add_argument("--x0", help="map initial condition; mod10 accepts p/q")
-    p.add_argument("--period", type=float, help="sine period in samples (default 20)")
-    p.add_argument("--phase", type=float, help="sine phase (default 0)")
-    p.add_argument("--amplitude", type=float, help="sine amplitude (default 1)")
-    p.add_argument("--format", choices=("csv", "json"),
+    step_flags(p)
+    p.add_argument("--x0", default=0.4, help="map initial condition; mod10 accepts p/q")
+    p.add_argument("--period", type=float, default=20.0,
+                   help="sine period in samples (default 20)")
+    p.add_argument("--phase", type=float, default=0.0, help="sine phase (default 0)")
+    p.add_argument("--amplitude", type=float, default=1.0,
+                   help="sine amplitude (default 1)")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
                    help="csv: bare ingestible column; json embeds the seed")
     common(p)
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("nullmodel", help="emit a null model's pattern distribution")
-    p.add_argument("--n", type=int, help="pattern length (default 4)")
+    p = command("nullmodel", _cmd_nullmodel, "emit a null model's pattern distribution")
+    p.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
     p.add_argument("--family", choices=("uniform", "normal", "associated"),
-                   help="step law (default uniform)")
-    p.add_argument("--b", type=float, help="uniform step model's P(Y > 0)")
-    p.add_argument("--mu", type=float, help="normal step mean")
-    p.add_argument("--sigma", type=float, help="normal step deviation")
+                   default="uniform", help="step law (default uniform)")
+    step_flags(p)
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
-                   dest="closed_form", help="use exact tables (n <= 4)")
-    p.add_argument("--samples", type=int, help="Monte Carlo draws (default 1e6)")
+                   dest="closed_form", default=False, help="use exact tables (n <= 4)")
+    p.add_argument("--samples", type=int, default=1_000_000,
+                   help="Monte Carlo draws (default 1e6)")
     p.add_argument("--walk-length", type=int, dest="walk_length",
                    help="associated-null walk length")
     p.add_argument("--input", help="CSV series (associated family only)")
-    p.add_argument("--column", default=None)
-    p.add_argument("--header", action=argparse.BooleanOptionalAction)
-    p.add_argument("--format", choices=("json", "csv"), help="default json")
+    column_flags(p)
+    p.add_argument("--format", choices=("json", "csv"), default="json", help="default json")
     common(p)
-    p.set_defaults(func=_cmd_nullmodel)
 
-    p = sub.add_parser("classes", help="emit pattern equivalence classes")
-    p.add_argument("--n", type=int, help="pattern length (default 4)")
+    p = command("classes", _cmd_classes, "emit pattern equivalence classes")
+    p.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
     p.add_argument("--closure", action="store_true",
                    help="emit the reverse/complement closure instead of the "
                         "reference tables")
     common(p, seeded=False)
-    p.set_defaults(func=_cmd_classes)
 
-    p = sub.add_parser("oracle", help="quadrature volumes vs closed forms")
-    p.add_argument("--n", type=int, help="pattern length (default 4, max 5)")
-    p.add_argument("--b", type=_comma_floats, help="step parameters, e.g. 0.55,0.65")
-    p.add_argument("--resolution", type=int, help="grid cells per axis (default 400)")
+    p = command("oracle", _cmd_oracle, "quadrature volumes vs closed forms")
+    p.add_argument("--n", type=int, default=4, help="pattern length (default 4, max 5)")
+    p.add_argument("--b", type=_comma_floats, default=(0.55, 0.65, 0.75, 0.85),
+                   help="step parameters, e.g. 0.55,0.65")
+    p.add_argument("--resolution", type=int, default=400,
+                   help="grid cells per axis (default 400)")
     common(p, seeded=False)
-    p.set_defaults(func=_cmd_oracle)
 
-    return parser
+    return parser, commands
 
 
 # --------------------------------------------------------------------------
 # config-file defaults
 # --------------------------------------------------------------------------
 
-def _load_config(args) -> dict:
-    path = getattr(args, "config", None)
-    if not path:
-        return {}
+def _load_config(args, parser: _Parser) -> dict:
+    """The config file's flag defaults for one subcommand's parser; a
+    null value leaves a flag's own, and a number parses as its text."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(args.config, encoding="utf-8") as handle:
             loaded = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
@@ -191,31 +204,33 @@ def _load_config(args) -> dict:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise _UsageError("config file must hold a JSON object")
-    known = set(vars(args))
-    for key in loaded:
-        if key not in known:
+    actions = {action.dest: action for action in parser._actions}
+    defaults = {}
+    for key, value in loaded.items():
+        action = actions.get(key)
+        if action is None or key in ("help", "config"):
             raise _UsageError(f"config key {key!r} is not a flag of this subcommand")
-    return loaded
+        if value is None:
+            continue
+        if action.type is not None and type(value) in (int, float):
+            # 1e6 and 4.0 read as integers, as the flag's text "1000000" would
+            if isinstance(value, float) and value.is_integer():
+                value = int(value)
+            value = str(value)
+        if action.choices is not None and value not in action.choices:
+            raise _UsageError(f"config key {key!r} has invalid choice {value!r}")
+        defaults[key] = value
+    return defaults
 
 
-def _get(args, cfg: dict, key: str, fallback=None):
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in cfg and cfg[key] is not None:
-        return cfg[key]
-    return fallback
-
-
-def _get_seed(args, cfg: dict, stochastic: bool) -> int:
-    explicit = getattr(args, "seed", None) is not None or cfg.get("seed") is not None
-    if args.strict and stochastic and not explicit:
+def _seed(args, stochastic: bool) -> int:
+    if args.strict and stochastic and args.seed is None:
         raise _UsageError("--strict requires --seed when the run consumes randomness")
-    return int(_get(args, cfg, "seed", 0))
+    return 0 if args.seed is None else args.seed
 
 
 def _write(args, payload: bytes) -> None:
-    if getattr(args, "output", None):
+    if args.output:
         with open(args.output, "wb") as handle:
             handle.write(payload)
     else:
@@ -223,57 +238,34 @@ def _write(args, payload: bytes) -> None:
         sys.stdout.buffer.flush()
 
 
-def _column(args, cfg) -> int | str:
-    raw = _get(args, cfg, "column", 0)
-    if isinstance(raw, str):
-        try:
-            return int(raw)
-        except ValueError:
-            return raw
-    return raw
+def _step(args, family: str) -> StepModel | None:
+    """The step law a family names, from --b or --mu/--sigma; None for
+    the associated null."""
+    if family == "uniform":
+        return StepModel.uniform(args.b)
+    if family == "normal":
+        return StepModel.normal(args.mu, args.sigma)
+    return None
 
 
-def _tie_policy(args, cfg) -> TiePolicy | None:
-    kind = _get(args, cfg, "ties")
-    if kind is None:
-        return None
-    scale = _get(args, cfg, "jitter_scale")
-    if kind == "jitter" and (scale is None or not float(scale) > 0):
+def _tie_policy(args) -> TiePolicy:
+    if args.ties == "jitter" and not args.jitter_scale > 0:
         raise _UsageError("--ties jitter needs --jitter-scale > 0")
-    if scale is not None:
-        return TiePolicy(kind, jitter_scale=float(scale))
-    return TiePolicy(kind)
+    return TiePolicy(args.ties, jitter_scale=args.jitter_scale)
 
 
-def _null_spec(args, cfg) -> NullSpec:
-    kind = _get(args, cfg, "null", "associated")
-    fields = dict(kind=kind)
-    if _get(args, cfg, "walk_length") is not None:
-        fields["walk_length"] = int(_get(args, cfg, "walk_length"))
-    if kind == "uniform":
-        fields["b"] = float(_get(args, cfg, "b", 0.5))
-    if kind == "normal":
-        fields["mu"] = float(_get(args, cfg, "mu", 0.0))
-        fields["sigma"] = float(_get(args, cfg, "sigma", 1.0))
-    if _get(args, cfg, "closed_form"):
-        fields["closed_form"] = True
-    if _get(args, cfg, "null_samples") is not None:
-        fields["samples"] = int(_get(args, cfg, "null_samples"))
-    return NullSpec(**fields)
-
-
-def _analysis_config(args, cfg) -> AnalysisConfig:
-    null = _null_spec(args, cfg)
-    replicates = int(_get(args, cfg, "replicates", 400))
-    stochastic = not (null.closed_form and replicates == 0)
+def _analysis_config(args) -> AnalysisConfig:
+    null = NullSpec(_step(args, args.null), args.walk_length, args.closed_form,
+                    args.null_samples)
+    stochastic = not (args.closed_form and args.replicates == 0)
     return AnalysisConfig(
-        orders=tuple(_get(args, cfg, "orders", (4, 5))),
-        delay=int(_get(args, cfg, "delay", 1)),
-        policy=_tie_policy(args, cfg),
+        orders=args.orders,
+        delay=args.delay,
+        policy=_tie_policy(args),
         null=null,
-        replicates=replicates,
-        seed=_get_seed(args, cfg, stochastic),
-        smoothing=float(_get(args, cfg, "smoothing", 1.0)),
+        replicates=args.replicates,
+        seed=_seed(args, stochastic),
+        smoothing=args.smoothing,
     )
 
 
@@ -282,56 +274,33 @@ def _analysis_config(args, cfg) -> AnalysisConfig:
 # --------------------------------------------------------------------------
 
 def _cmd_analyze(args) -> int:
-    cfg = _load_config(args)
-    series = ingest_csv(args.input, _column(args, cfg), bool(_get(args, cfg, "header", False)))
-    config = _analysis_config(args, cfg)
-    result = analyze_run(series, config)
-    _write(args, emit(result, _get(args, cfg, "format", "json")))
+    """analyze, and window over sliding windows."""
+    series = ingest_csv(args.input, args.column, args.header)
+    config = _analysis_config(args)
+    if args.command == "window":
+        result = windowed_run(series, WindowSpec(args.window_length, args.stride), config)
+    else:
+        result = analyze_run(series, config)
+    _write(args, emit(result, args.format))
     return 0
-
-
-def _cmd_window(args) -> int:
-    cfg = _load_config(args)
-    series = ingest_csv(args.input, _column(args, cfg), bool(_get(args, cfg, "header", False)))
-    config = _analysis_config(args, cfg)
-    wspec = WindowSpec(int(_get(args, cfg, "window_length", 1258)),
-                       int(_get(args, cfg, "stride", 250)))
-    results = windowed_run(series, wspec, config)
-    _write(args, emit(results, _get(args, cfg, "format", "json")))
-    return 0
-
-
-def _step_model(args, cfg) -> StepModel:
-    family = _get(args, cfg, "step_family")
-    if family is None:
-        raise _UsageError("walk simulation needs --step-family")
-    if family == "uniform":
-        return StepModel.uniform(float(_get(args, cfg, "b", 0.5)))
-    return StepModel.normal(float(_get(args, cfg, "mu", 0.0)),
-                            float(_get(args, cfg, "sigma", 1.0)))
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args)
-    kind = _get(args, cfg, "kind")
-    if kind is None:
+    if args.kind is None:
         raise _UsageError("simulate needs --kind")
-    length = _get(args, cfg, "length")
-    if length is None:
+    if args.length is None:
         raise _UsageError("simulate needs --length")
-    seed = _get_seed(args, cfg, kind in ("iid_uniform", "walk"))
-    fields = dict(kind=kind, length=int(length), seed=seed)
-    if kind == "walk":
-        fields["step"] = _step_model(args, cfg)
-    if _get(args, cfg, "x0") is not None:
-        fields["x0"] = _get(args, cfg, "x0")
-    for key in ("period", "phase", "amplitude"):
-        if _get(args, cfg, key) is not None:
-            fields[key] = float(_get(args, cfg, key))
-    series = generate(GeneratorSpec(**fields))
-    fmt = _get(args, cfg, "format", "csv")
-    if fmt == "json":
-        doc = {"kind": kind, "seed": seed, "values": [float(v) for v in series.values]}
+    seed = _seed(args, args.kind in ("iid_uniform", "walk"))
+    step = None
+    if args.kind == "walk":
+        if args.step_family is None:
+            raise _UsageError("walk simulation needs --step-family")
+        step = _step(args, args.step_family)
+    series = generate(GeneratorSpec(
+        args.kind, args.length, seed, step, x0=args.x0, period=args.period,
+        phase=args.phase, amplitude=args.amplitude))
+    if args.format == "json":
+        doc = {"kind": args.kind, "seed": seed, "values": [float(v) for v in series.values]}
         payload = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
     else:
         payload = ("\n".join(repr(float(v)) for v in series.values) + "\n").encode()
@@ -341,33 +310,16 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nullmodel(args) -> int:
-    cfg = _load_config(args)
-    n = int(_get(args, cfg, "n", 4))
-    family = _get(args, cfg, "family", "uniform")
-    closed = bool(_get(args, cfg, "closed_form"))
-    fields: dict = {"closed_form": closed}
-    if _get(args, cfg, "samples") is not None:
-        fields["samples"] = int(_get(args, cfg, "samples"))
-    if _get(args, cfg, "walk_length") is not None:
-        fields["walk_length"] = int(_get(args, cfg, "walk_length"))
-    series = None
-    if family == "associated":
-        if not _get(args, cfg, "input"):
+    series = [0.0, 1.0]
+    if args.family == "associated":
+        if not args.input:
             raise _UsageError("associated nullmodel needs --input")
-        series = ingest_csv(_get(args, cfg, "input"), _column(args, cfg),
-                            bool(_get(args, cfg, "header", False)))
-        spec = NullSpec(kind="associated", **{k: v for k, v in fields.items()
-                                              if k != "closed_form"})
-    elif family == "uniform":
-        spec = NullSpec(kind="uniform", b=float(_get(args, cfg, "b", 0.5)), **fields)
-    else:
-        spec = NullSpec(kind="normal", mu=float(_get(args, cfg, "mu", 0.0)),
-                        sigma=float(_get(args, cfg, "sigma", 1.0)), **fields)
-    stochastic = family == "associated" or not closed
-    seed = _get_seed(args, cfg, stochastic)
-    model = build_null(series if series is not None else [0.0, 1.0], n, spec, seed)
-    fmt = _get(args, cfg, "format", "json")
-    if fmt == "json":
+        series = ingest_csv(args.input, args.column, args.header)
+    spec = NullSpec(_step(args, args.family), args.walk_length, args.closed_form,
+                    args.samples)
+    seed = _seed(args, args.family == "associated" or not args.closed_form)
+    model = build_null(series, args.n, spec, seed)
+    if args.format == "json":
         payload = (json.dumps(model.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
     else:
         lines = ["pattern,weight"]
@@ -378,31 +330,24 @@ def _cmd_nullmodel(args) -> int:
 
 
 def _cmd_classes(args) -> int:
-    cfg = _load_config(args)
-    n = int(_get(args, cfg, "n", 4))
-    table = rc_closure(n) if args.closure or cfg.get("closure") else equivalence_classes(n)
-    doc = {"n": n, "classes": table.as_strings()}
+    table = rc_closure(args.n) if args.closure else equivalence_classes(args.n)
+    doc = {"n": args.n, "classes": table.as_strings()}
     _write(args, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
     return 0
 
 
 def _cmd_oracle(args) -> int:
-    cfg = _load_config(args)
-    n = int(_get(args, cfg, "n", 4))
-    bs = _get(args, cfg, "b", (0.55, 0.65, 0.75, 0.85))
-    resolution = int(_get(args, cfg, "resolution", 400))
+    n = args.n
     lines = ["b,pattern,volume,closed_form,abs_err"]
-    for b in bs:
+    for b in args.b:
         closed = closed_form_uniform(n, b) if n in (3, 4) else None
-        for rank in range(_FACT[n]):
-            pattern = lex_unrank(n, rank)
-            volume = volume_oracle(pattern, StepModel.uniform(b), resolution)
+        for pattern in all_patterns(n):
+            volume = volume_oracle(pattern, StepModel.uniform(b), args.resolution)
+            error_cells = ","  # closed_form,abs_err stay empty without a closed form
             if closed is not None:
-                expected = float(closed.weights[rank])
-                lines.append(f"{b},{pattern},{volume!r},{expected!r},"
-                             f"{abs(volume - expected)!r}")
-            else:
-                lines.append(f"{b},{pattern},{volume!r},,")
+                expected = float(closed.weights[pattern.rank])
+                error_cells = f"{expected!r},{abs(volume - expected)!r}"
+            lines.append(f"{b},{pattern},{volume!r},{error_cells}")
     _write(args, ("\n".join(lines) + "\n").encode())
     return 0
 
@@ -413,8 +358,14 @@ def _cmd_oracle(args) -> int:
 
 def main(argv=None) -> int:
     try:
-        parser = _build_parser()
+        parser, commands = _build_parser()
         args = parser.parse_args(argv)
+        if args.config:
+            # config values become the subcommand's defaults; a second parse
+            # lets explicit flags win and runs string values through type=
+            command = commands[args.command]
+            command.set_defaults(**_load_config(args, command))
+            args = parser.parse_args(argv)
         return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

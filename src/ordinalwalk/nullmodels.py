@@ -6,7 +6,7 @@ that distribution are provided, plus the data-driven bootstrap built on
 resampled steps:
 
 closed_form_uniform            exact table, uniform steps on [b-1, b], n <= 4
-closed_form_normal_zero_mean   exact table, centered normal steps, n <= 4
+closed_form_normal_zero_mean   orthant formulas, centered normal steps, n <= 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
 associated_walk                long walk resampled from a series' own steps
@@ -22,13 +22,15 @@ noise around the very null the series is held to.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
 through the step sign flip, which maps b to 1-b and every pattern to its
-complement. Formula provenance for two entries that differ from their
-commonly printed versions: the {1432, 2143, 3214} branch below 2/3 must
+complement. Formula provenance for an entry that differs from its
+commonly printed version: the {1432, 2143, 3214} branch below 2/3 must
 read (1/6)(2 - 12b + 24b^2 - 15b^3) for the class-weighted total to be 1
-and the branches to meet at b = 2/3, and the centered-normal constants
-for {1342, 3124} and {1423, 2314} (with their complements) are the exact
-orthant values 0.0355 and 1/48; both were validated by quadrature and
-Monte Carlo before being frozen here.
+and the branches to meet at b = 2/3; it was validated by quadrature and
+Monte Carlo before being frozen here. The centered-normal weights are
+computed, not tabulated: a pattern is the event that the n-1 differences
+between value-adjacent entries are all positive, each difference is a
+signed interval sum of the steps, and the orthant probability of that
+Gaussian vector has a closed form for two and three variates.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Literal, Sequence
 
 import numpy as np
@@ -44,12 +47,12 @@ from .errors import LengthError, OrderError, RangeError, SupportError
 from .metrics import kl_divergence
 from .patterns import (
     _FACT,
-    MAX_ORDER,
     OrdinalPattern,
     PatternDistribution,
     TiePolicy,
     TimeSeries,
     _as_values,
+    _check_order,
     _lag_ranks,
     empirical_distribution,
     empirical_distributions,
@@ -117,12 +120,17 @@ class StepModel:
     def empirical(cls, steps) -> "StepModel":
         return cls("empirical", steps=np.asarray(steps, dtype=np.float64))
 
-    def describe(self) -> str:
+    def _parameters(self) -> dict:
         if self.family == "uniform_b":
-            return f"uniform_b(b={self.b})"
+            return {"b": self.b}
         if self.family == "normal":
-            return f"normal(mu={self.mu}, sigma={self.sigma})"
-        return f"empirical({self.steps.size} steps)"
+            return {"mu": self.mu, "sigma": self.sigma}
+        return {"step_count": int(self.steps.size)}
+
+    def describe(self, *extra: str) -> str:
+        """"family(name=value, ...)", with any extra items appended inside."""
+        items = [f"{name}={value}" for name, value in self._parameters().items()]
+        return f"{self.family}({', '.join(items + list(extra))})"
 
 
 def _walks(steps: np.ndarray, order="C") -> np.ndarray:
@@ -194,11 +202,6 @@ _UNIF4 = [
     (("4321",), lambda b: (1.0 - b) ** 3, None),
 ]
 
-# centered-normal constants by the same class rows (exact orthant values,
-# rounded to four decimals; raw class-weighted total is 0.9998)
-_NORMAL4 = (0.1250, 0.0625, 0.0417, 0.0355, 0.0208, 0.0270, 0.0270,
-            0.0146, 0.0355, 0.0146, 0.0208, 0.0625, 0.0417, 0.1250)
-
 _UNIF_TABLES = {3: _UNIF3, 4: _UNIF4}
 
 
@@ -249,23 +252,35 @@ def closed_form_uniform(n: int, b: float) -> PatternDistribution:
     return PatternDistribution(n, weights, "model", 0)
 
 
+def _normal_orthant(word: tuple[int, ...]) -> float:
+    # the pattern holds iff every difference between value-adjacent entries
+    # is positive; row k holds the signed steps that sum to difference k
+    n = len(word)
+    at = np.argsort(word)  # positions, smallest value first
+    rows = np.zeros((n - 1, n - 1))
+    for k, (a, c) in enumerate(zip(at, at[1:])):
+        rows[k, min(a, c):max(a, c)] = 1.0 if c > a else -1.0
+    cov = rows @ rows.T
+    rho = [cov[k, m] / math.sqrt(cov[k, k] * cov[m, m])
+           for k, m in combinations(range(n - 1), 2)]
+    # fsum keeps the total independent of the order of the pairs, so a
+    # pattern and its complement (the same pairs reversed) tie exactly
+    return 0.5 ** (n - 1) + math.fsum(map(math.asin, rho)) / (2 ** (n - 2) * math.pi)
+
+
+@lru_cache(maxsize=None)
 def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
     """Exact pattern distribution of a centered normal-step walk, n in {3, 4}.
 
-    Independent of sigma. The n = 3 weights are the exact fractions
-    (1/4, 1/8, 1/8, 1/4) by class; n = 4 uses the four-decimal orthant
-    constants, renormalized to total exactly one.
+    Independent of sigma. Each weight is a Gaussian orthant probability:
+    1/4 + asin(rho)/(2 pi) for n = 3 and 1/8 + sum asin(rho_ij)/(4 pi)
+    for n = 4 (Sheppard 1899; Plackett 1954), where the correlations come
+    from the overlaps of the step intervals between value-adjacent entries.
     """
-    if n == 3:
-        weights = np.array([0.25, 0.125, 0.125, 0.125, 0.125, 0.25])
-        return PatternDistribution(3, weights, "model", 0)
-    if n == 4:
-        weights = np.empty(_FACT[4])
-        for ranks, value in zip(_class_ranks(4), _NORMAL4):
-            for r in ranks:
-                weights[r] = value
-        return PatternDistribution(4, weights / weights.sum(), "model", 0)
-    raise OrderError(f"closed forms exist for n in (3, 4), got {n}")
+    if n not in (3, 4):
+        raise OrderError(f"closed forms exist for n in (3, 4), got {n}")
+    weights = [_normal_orthant(lex_unrank(n, r).word) for r in range(_FACT[n])]
+    return PatternDistribution(n, weights, "model", 0)
 
 
 # --------------------------------------------------------------------------
@@ -287,8 +302,7 @@ def monte_carlo_distribution(
     given the seed. Exact ties (possible under empirical step multisets)
     rank earlier-index-smaller.
     """
-    if not 2 <= n <= MAX_ORDER:
-        raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+    _check_order(n)
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
@@ -455,42 +469,31 @@ def associated_walk(series, length: int, seed=0) -> TimeSeries:
 class NullSpec:
     """Which null model to hold a series against.
 
-    kind "associated" resamples the series' own steps into a walk of
-    walk_length (default max(10^6, 100 N)); "uniform" and "normal" are
-    parametric step laws, evaluated exactly when closed_form is set and
-    n <= 4 (normal requires mu = 0), by Monte Carlo with `samples` draws
-    otherwise.
+    step None is the associated null: the series' own steps resampled into
+    a walk of walk_length (default max(10^6, 100 N)). A StepModel is a
+    parametric step law, evaluated exactly when closed_form is set (uniform
+    or centered normal steps, n <= 4) and by Monte Carlo with `samples`
+    draws otherwise.
     """
 
-    kind: Literal["associated", "uniform", "normal"] = "associated"
+    step: StepModel | None = None
     walk_length: int | None = None
-    b: float = 0.5
-    mu: float = 0.0
-    sigma: float = 1.0
     closed_form: bool = False
     samples: int = 1_000_000
 
     def __post_init__(self):
-        if self.kind not in ("associated", "uniform", "normal"):
-            raise RangeError(f"unknown null kind {self.kind!r}")
-        if self.kind == "uniform" and not 0.0 < self.b < 1.0:
-            raise RangeError(f"uniform null needs b in (0, 1), got {self.b}")
-        if self.kind == "normal" and not self.sigma > 0:
-            raise RangeError(f"normal null needs sigma > 0, got {self.sigma}")
+        if self.step is not None and not isinstance(self.step, StepModel):
+            raise RangeError(f"a null's step law must be a StepModel, got {self.step!r}")
         if self.samples < 1:
             raise RangeError("samples must be >= 1")
         if self.walk_length is not None and self.walk_length < 2:
             raise RangeError("walk_length must be >= 2")
 
     def describe(self) -> str:
-        if self.kind == "associated":
-            length = self.walk_length if self.walk_length else "auto"
-            return f"associated(walk_length={length})"
-        if self.kind == "uniform":
-            how = "closed_form" if self.closed_form else f"samples={self.samples}"
-            return f"uniform_b(b={self.b}, {how})"
-        how = "closed_form" if self.closed_form else f"samples={self.samples}"
-        return f"normal(mu={self.mu}, sigma={self.sigma}, {how})"
+        if self.step is None:
+            return f"associated(walk_length={self.walk_length or 'auto'})"
+        return self.step.describe(
+            "closed_form" if self.closed_form else f"samples={self.samples}")
 
 
 @dataclass(frozen=True)
@@ -500,7 +503,7 @@ class NullModel:
     step_model: StepModel
     order: int
     distribution: PatternDistribution
-    method: Literal["closed_form", "monte_carlo", "quadrature"]
+    method: Literal["closed_form", "monte_carlo"]
     sample_count: int
     seed: int | None
 
@@ -519,17 +522,9 @@ class NullModel:
                 )
 
     def to_json_dict(self) -> dict:
-        params: dict = {}
-        if self.step_model.family == "uniform_b":
-            params["b"] = self.step_model.b
-        elif self.step_model.family == "normal":
-            params["mu"] = self.step_model.mu
-            params["sigma"] = self.step_model.sigma
-        else:
-            params["step_count"] = int(self.step_model.steps.size)
         return {
             "family": self.step_model.family,
-            "parameters": params,
+            "parameters": self.step_model._parameters(),
             "n": self.order,
             "method": self.method,
             "seed": self.seed,
@@ -545,7 +540,7 @@ def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]
     order in one pass; a parametric null gives each order its own child
     of `seed`.
     """
-    if spec.kind != "associated":
+    if spec.step is not None:
         base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         return tuple(build_null(series, n, spec, child)
                      for n, child in zip(orders, base.spawn(len(orders))))
@@ -563,27 +558,18 @@ def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]
 
 def build_null(series, n: int, spec: NullSpec, seed=0) -> NullModel:
     """Realize a NullSpec for a given series and order."""
-    if spec.kind == "associated":
+    step = spec.step
+    if step is None:
         return build_nulls(series, (n,), spec, seed)[0]
-    if spec.kind == "uniform":
-        model = StepModel.uniform(spec.b)
-        if spec.closed_form:
-            if n > 4:
-                raise OrderError(f"closed-form uniform nulls need n <= 4, got {n}")
-            return NullModel(model, n, closed_form_uniform(n, spec.b),
-                             "closed_form", 0, None)
-        dist = monte_carlo_distribution(model, n, spec.samples, seed)
-        return NullModel(model, n, dist, "monte_carlo", spec.samples, _seed_int(seed))
-    model = StepModel.normal(spec.mu, spec.sigma)
-    if spec.closed_form:
-        if spec.mu != 0:
-            raise RangeError("closed-form normal nulls require mu = 0")
-        if n > 4:
-            raise OrderError(f"closed-form normal nulls need n <= 4, got {n}")
-        return NullModel(model, n, closed_form_normal_zero_mean(n),
-                         "closed_form", 0, None)
-    dist = monte_carlo_distribution(model, n, spec.samples, seed)
-    return NullModel(model, n, dist, "monte_carlo", spec.samples, _seed_int(seed))
+    if not spec.closed_form:
+        dist = monte_carlo_distribution(step, n, spec.samples, seed)
+        return NullModel(step, n, dist, "monte_carlo", spec.samples, _seed_int(seed))
+    if step.family == "normal" and step.mu != 0:
+        raise RangeError("closed-form normal nulls require mu = 0")
+    # NullModel rejects a closed form for any other step law
+    dist = (closed_form_uniform(n, step.b) if step.family == "uniform_b"
+            else closed_form_normal_zero_mean(n))
+    return NullModel(step, n, dist, "closed_form", 0, None)
 
 
 def _seed_int(seed) -> int | None:
@@ -607,7 +593,7 @@ def _kl_with_fallback(p, q, smoothing):
 def kl_to_null(
     series,
     n: int,
-    model_spec: NullSpec | StepModel | None = None,
+    model_spec: NullSpec | None = None,
     seed=0,
     d: int = 1,
     policy: TiePolicy | None = None,
@@ -615,17 +601,12 @@ def kl_to_null(
 ) -> float:
     """Normalized KL divergence of a series' patterns from a null model.
 
-    model_spec may be a NullSpec, a bare StepModel (simulated with the
+    model_spec is a NullSpec (NullSpec(step) simulates a step law with the
     default sample budget), or None for the associated-walk null.
     Pseudocount smoothing kicks in only if the sampled null misses a
     pattern the series realizes.
     """
-    if model_spec is None:
-        model_spec = NullSpec()
-    if isinstance(model_spec, StepModel):
-        null_dist = monte_carlo_distribution(model_spec, n, 1_000_000, seed)
-    else:
-        null_dist = build_null(series, n, model_spec, seed).distribution
+    null_dist = build_null(series, n, model_spec or NullSpec(), seed).distribution
     p = empirical_distribution(series, n, d, policy)
     return _kl_with_fallback(p, null_dist, smoothing)
 

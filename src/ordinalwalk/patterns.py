@@ -25,10 +25,16 @@ import numpy as np
 
 from .errors import LengthError, RangeError, TieError
 
-#: Largest supported pattern order; n! tables stay small below this.
-MAX_ORDER = 12
+#: Largest supported pattern order, where analysis stops; dense n!
+#: tables and rc-closure checks stay small up to here.
+MAX_ORDER = 7
 
 _FACT = [math.factorial(k) for k in range(MAX_ORDER + 1)]
+
+
+def _check_order(n: int) -> None:
+    if not 2 <= n <= MAX_ORDER:
+        raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +108,7 @@ class OrdinalPattern:
 
     word[i] is the rank of the i-th window value (1 = smallest). Patterns
     compare and sort lexicographically by word, and serialize as digit
-    strings for n <= 9 ("2314") and hyphen-separated beyond ("10-2-...").
+    strings ("2314").
     """
 
     word: tuple[int, ...]
@@ -111,8 +117,7 @@ class OrdinalPattern:
         word = tuple(int(v) for v in self.word)
         object.__setattr__(self, "word", word)
         n = len(word)
-        if not 2 <= n <= MAX_ORDER:
-            raise RangeError(f"pattern order must be in [2, {MAX_ORDER}], got {n}")
+        _check_order(n)
         if sorted(word) != list(range(1, n + 1)):
             raise RangeError(f"{word} is not a permutation of 1..{n}")
 
@@ -125,20 +130,14 @@ class OrdinalPattern:
         return lex_rank(self)
 
     def __str__(self) -> str:
-        if self.order <= 9:
-            return "".join(str(v) for v in self.word)
-        return "-".join(str(v) for v in self.word)
+        return "".join(str(v) for v in self.word)
 
     @classmethod
     def from_string(cls, text: str) -> "OrdinalPattern":
-        """Parse "231" or "10-2-1-..." back into a pattern."""
+        """Parse "231" back into a pattern."""
         text = text.strip()
-        if "-" in text:
-            parts = text.split("-")
-        else:
-            parts = list(text)
         try:
-            return cls(tuple(int(p) for p in parts))
+            return cls(tuple(int(p) for p in text))
         except ValueError as exc:
             raise RangeError(f"cannot parse pattern string {text!r}") from exc
 
@@ -159,8 +158,7 @@ class PatternDistribution:
 
     def __post_init__(self):
         n = int(self.order)
-        if not 2 <= n <= MAX_ORDER:
-            raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+        _check_order(n)
         w = np.array(self.weights, dtype=np.float64)
         if w.shape != (_FACT[n],):
             raise RangeError(
@@ -183,9 +181,8 @@ class PatternDistribution:
     @classmethod
     def uniform(cls, n: int) -> "PatternDistribution":
         """The uniform distribution over all n! patterns."""
-        size = _FACT[n] if 2 <= n <= MAX_ORDER else 0
-        if not size:
-            raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+        _check_order(n)
+        size = _FACT[n]
         return cls(n, np.full(size, 1.0 / size), "model", 0)
 
     def weight_of(self, pattern: OrdinalPattern) -> float:
@@ -221,8 +218,7 @@ def lex_rank(pattern: OrdinalPattern) -> int:
 
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
     """Inverse of lex_rank: the pattern of given order at the given rank."""
-    if not 2 <= n <= MAX_ORDER:
-        raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+    _check_order(n)
     if not 0 <= rank < _FACT[n]:
         raise RangeError(f"rank must be in [0, {n}!), got {rank}")
     remaining = list(range(1, n + 1))
@@ -237,6 +233,7 @@ def lex_unrank(n: int, rank: int) -> OrdinalPattern:
 
 def all_patterns(n: int) -> list[OrdinalPattern]:
     """Every order-n pattern in lexicographic order."""
+    _check_order(n)
     return [lex_unrank(n, r) for r in range(_FACT[n])]
 
 
@@ -279,9 +276,9 @@ def _as_values(series) -> np.ndarray:
     return TimeSeries(arr).values
 
 
-def _apply_jitter(values: np.ndarray, policy: TiePolicy) -> np.ndarray:
-    rng = np.random.default_rng(policy.seed)
-    return values + rng.normal(0.0, policy.jitter_scale, size=values.shape)
+def _apply_jitter(values: np.ndarray, scale: float, seed) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return values + rng.normal(0.0, scale, size=values.shape)
 
 
 def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
@@ -299,7 +296,7 @@ def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
     """
     size = x.shape[-1]
     below = np.zeros_like(x, dtype=np.int8)  # S_m, shrinking by d per m
-    rank = np.broadcast_to(np.int32(0), x.shape)  # rank_1; 12! < 2**31
+    rank = np.broadcast_to(np.int32(0), x.shape)  # rank_1; 7! < 2**31
     if strict:
         equal = np.zeros_like(x, dtype=bool)  # any equal lag up to m
         tied = np.broadcast_to(False, x.shape)  # any equal pair in the window
@@ -324,8 +321,10 @@ def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
 def _prepared(series, orders, d: int, policy: TiePolicy | None):
     """Validated (and, under jitter, perturbed) values for _lag_ranks."""
     policy = policy or TiePolicy()
-    if not orders or not all(2 <= n <= MAX_ORDER for n in orders):
-        raise RangeError(f"orders must lie in [2, {MAX_ORDER}], got {tuple(orders)}")
+    if not orders:
+        raise RangeError("need at least one order")
+    for n in orders:
+        _check_order(n)
     if d < 1:
         raise RangeError(f"delay must be >= 1, got {d}")
     values = _as_values(series)
@@ -337,7 +336,7 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None):
             f"at delay {d} (needs {span})"
         )
     if policy.mode == "jitter":
-        values = _apply_jitter(values, policy)
+        values = _apply_jitter(values, policy.jitter_scale, policy.seed)
     return values, policy.mode == "strict"
 
 
@@ -387,12 +386,11 @@ def standardize(window: Sequence[float], policy: TiePolicy | None = None) -> Ord
         raise LengthError("a window needs at least two values")
     if not np.isfinite(vals).all():
         raise RangeError("window values must be finite")
-    if vals.size > MAX_ORDER:
-        raise RangeError(f"window length {vals.size} exceeds max order {MAX_ORDER}")
+    _check_order(vals.size)
     if policy.mode == "strict" and np.unique(vals).size < vals.size:
         raise TieError("window contains duplicate values (strict ties)")
     if policy.mode == "jitter":
-        vals = _apply_jitter(vals, policy)
+        vals = _apply_jitter(vals, policy.jitter_scale, policy.seed)
     order = sorted(range(vals.size), key=lambda i: (vals[i], i))
     word = [0] * vals.size
     for rank, i in enumerate(order, start=1):

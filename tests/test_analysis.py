@@ -14,6 +14,7 @@ from ordinalwalk import (
     ParseError,
     RangeError,
     StepModel,
+    TiePolicy,
     WindowSpec,
     analyze,
     analyze_run,
@@ -185,6 +186,25 @@ def test_analyze_scale_invariant_end_to_end():
 def test_analyze_deterministic():
     series = _walk(300, seed=2)
     assert analyze(series, FAST) == analyze(series, FAST)
+
+
+def test_jitter_follows_the_run_seed():
+    # a tie-heavy series: the jitter draw decides most patterns, so two
+    # seeds must give two empirical distributions, and one seed one
+    series = np.repeat(np.arange(40.0), 3)
+    config = dict(orders=(3,), policy=TiePolicy("jitter", jitter_scale=0.1),
+                  null=NullSpec(walk_length=2_000), replicates=0)
+    runs = [analyze_run(series, AnalysisConfig(seed=seed, **config)) for seed in (1, 2, 1)]
+    first, second, again = (run.per_order[0].empirical.weights for run in runs)
+    assert not np.array_equal(first, second)
+    assert np.array_equal(first, again)
+
+
+def test_jitter_policy_seed_is_rejected():
+    # analysis draws the jitter from the run seed, so a policy seed would be ignored
+    with pytest.raises(RangeError):
+        AnalysisConfig(policy=TiePolicy("jitter", jitter_scale=0.1, seed=5))
+    AnalysisConfig(policy=TiePolicy("stable", seed=5))
 
 
 # ---------------------------------------------------------------- windowing

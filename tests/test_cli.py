@@ -146,6 +146,73 @@ def test_config_unknown_key_is_usage_error(tmp_path):
     assert main(["analyze", str(path), "--config", str(cfg)]) == 1
 
 
+@pytest.mark.parametrize("key", ["func", "command", "config"])
+def test_config_parser_internals_are_usage_errors(tmp_path, key):
+    path = _walk_csv(tmp_path)
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps({key: "x"}))
+    assert main(["analyze", str(path), "--config", str(cfg)]) == 1
+
+
+def test_config_string_values_parse_like_flags(tmp_path, capsysbinary):
+    path = _walk_csv(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"orders": "3,4", "replicates": 0, "walk_length": 2000}))
+    assert main(["analyze", str(path), "--seed", "1", "--config", str(cfg)]) == 0
+    from_config = capsysbinary.readouterr().out
+    assert main(["analyze", str(path), "--seed", "1", "--orders", "3,4",
+                 "--replicates", "0", "--walk-length", "2000"]) == 0
+    assert capsysbinary.readouterr().out == from_config
+    assert [r["n"] for r in json.loads(from_config)["reports"]] == [3, 4]
+
+
+def test_config_numbers_parse_like_flags(tmp_path, capsysbinary):
+    # JSON numbers go through each flag's type=; integral floats read as ints
+    path = _walk_csv(tmp_path)
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"null_samples": 1e6, "replicates": 0, "walk_length": 2e3}))
+    flags = ["analyze", str(path), "--seed", "1", "--orders", "3", "--null", "uniform"]
+    assert main([*flags, "--config", str(cfg)]) == 0
+    from_config = capsysbinary.readouterr().out
+    assert main([*flags, "--null-samples", "1000000", "--replicates", "0",
+                 "--walk-length", "2000"]) == 0
+    assert capsysbinary.readouterr().out == from_config
+
+    cfg.write_text(json.dumps({"b": 0.7}))
+    assert main(["oracle", "--n", "3", "--resolution", "20", "--config", str(cfg)]) == 0
+    from_config = capsysbinary.readouterr().out
+    assert main(["oracle", "--n", "3", "--resolution", "20", "--b", "0.7"]) == 0
+    assert capsysbinary.readouterr().out == from_config
+
+
+@pytest.mark.parametrize("values", [{"n": 3.5}, {"seed": "x"}, {"format": "xml"},
+                                    {"family": "cauchy"}])
+def test_config_values_outside_a_flag_are_usage_errors(tmp_path, values):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(values))
+    assert main(["nullmodel", "--samples", "1000", "--config", str(cfg)]) == 1
+
+
+@pytest.mark.parametrize("argv, spelled_out", [
+    (["analyze", "{path}"],
+     ["analyze", "{path}", "--orders", "4,5", "--delay", "1", "--ties", "stable",
+      "--jitter-scale", "0", "--null", "associated", "--b", "0.5", "--mu", "0",
+      "--sigma", "1", "--no-closed-form", "--null-samples", "1000000",
+      "--replicates", "400", "--smoothing", "1", "--format", "json",
+      "--column", "0", "--no-header", "--seed", "0"]),
+    (["nullmodel", "--family", "uniform"],
+     ["nullmodel", "--family", "uniform", "--n", "4", "--b", "0.5", "--mu", "0",
+      "--sigma", "1", "--no-closed-form", "--samples", "1000000", "--format", "json",
+      "--seed", "0"]),
+])
+def test_cli_defaults_match_spelled_out_flags(tmp_path, capsysbinary, argv, spelled_out):
+    path = str(_walk_csv(tmp_path, n=200))
+    assert main([a.format(path=path) for a in argv]) == 0
+    bare = capsysbinary.readouterr().out
+    assert main([a.format(path=path) for a in spelled_out]) == 0
+    assert capsysbinary.readouterr().out == bare
+
+
 def test_simulate_csv_roundtrips_into_analyze(tmp_path, capsysbinary):
     out = tmp_path / "sim.csv"
     code = main(["simulate", "--kind", "walk", "--step-family", "uniform",

@@ -84,9 +84,8 @@ def test_branch_formulas_join_continuously():
 def test_normal_constants_renormalized():
     d = closed_form_normal_zero_mean(4)
     assert d.weights.sum() == pytest.approx(1.0, abs=1e-15)
-    # the four-decimal table deliberately totals 0.9998 before scaling
-    assert d.weight_of(OrdinalPattern.from_string("1234")) == pytest.approx(
-        0.1250 / 0.9998, abs=1e-12)
+    # the orthant formula gives the monotone pattern exactly 1/8
+    assert d.weight_of(OrdinalPattern.from_string("1234")) == 1 / 8
 
 
 class TestClosedFormInvariants:
@@ -258,8 +257,8 @@ def test_kl_to_null_orders_iid_above_walk():
 
 def test_kl_to_null_accepts_step_model_and_spec():
     walk = generate(GeneratorSpec("walk", 800, seed=4, step=StepModel.uniform(0.7)))
-    against_exact = kl_to_null(walk, 4, NullSpec("uniform", b=0.7, closed_form=True))
-    against_mc = kl_to_null(walk, 4, StepModel.uniform(0.7), seed=8)
+    against_exact = kl_to_null(walk, 4, NullSpec(StepModel.uniform(0.7), closed_form=True))
+    against_mc = kl_to_null(walk, 4, NullSpec(StepModel.uniform(0.7)), seed=8)
     assert against_exact == pytest.approx(against_mc, abs=0.01)
 
 
@@ -321,14 +320,14 @@ def test_bootstrap_band_jitter_gives_a_spread():
 
 def test_build_null_closed_form_guards():
     with pytest.raises(OrderError):
-        build_null([0.0, 1.0], 5, NullSpec("uniform", b=0.6, closed_form=True))
+        build_null([0.0, 1.0], 5, NullSpec(StepModel.uniform(0.6), closed_form=True))
     with pytest.raises(RangeError):
-        build_null([0.0, 1.0], 4, NullSpec("normal", mu=0.5, closed_form=True))
+        build_null([0.0, 1.0], 4, NullSpec(StepModel.normal(0.5, 1.0), closed_form=True))
 
 
 def test_build_null_associated_uses_series_steps():
     series = generate(GeneratorSpec("walk", 400, seed=2, step=StepModel.uniform(0.8)))
-    model = build_null(series, 3, NullSpec("associated", walk_length=50_000), seed=5)
+    model = build_null(series, 3, NullSpec(walk_length=50_000), seed=5)
     assert model.method == "monte_carlo"
     assert model.sample_count == 50_000 - 2
     # a b = 0.8 walk's resampled null leans heavily on ascents
@@ -337,7 +336,7 @@ def test_build_null_associated_uses_series_steps():
 
 def test_build_nulls_ranks_one_associated_walk_at_every_order():
     series = generate(GeneratorSpec("walk", 300, seed=9, step=StepModel.uniform(0.7)))
-    spec = NullSpec("associated", walk_length=20_000)
+    spec = NullSpec(walk_length=20_000)
     nulls = build_nulls(series, (3, 4, 6), spec, seed=5)
     assert [m.order for m in nulls] == [3, 4, 6]
     for m in nulls:
@@ -347,7 +346,7 @@ def test_build_nulls_ranks_one_associated_walk_at_every_order():
 
 
 def test_build_nulls_parametric_children_differ_per_order():
-    spec = NullSpec("uniform", b=0.6, samples=2000)
+    spec = NullSpec(StepModel.uniform(0.6), samples=2000)
     a, b = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
     assert not np.array_equal(a.distribution.weights, b.distribution.weights)
     again = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
@@ -355,7 +354,7 @@ def test_build_nulls_parametric_children_differ_per_order():
 
 
 def test_null_model_json_shape():
-    model = build_null([0.0, 1.0], 4, NullSpec("uniform", b=0.6, closed_form=True))
+    model = build_null([0.0, 1.0], 4, NullSpec(StepModel.uniform(0.6), closed_form=True))
     doc = model.to_json_dict()
     assert doc["family"] == "uniform_b"
     assert doc["parameters"] == {"b": 0.6}

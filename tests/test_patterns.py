@@ -82,6 +82,16 @@ def test_order_thirteen_rejected():
         lex_unrank(13, 0)
 
 
+def test_orders_above_seven_rejected():
+    # analysis stops at order 7; dense 8! tables are refused up front
+    with pytest.raises(RangeError):
+        PatternDistribution.uniform(8)
+    with pytest.raises(RangeError):
+        lex_unrank(8, 0)
+    with pytest.raises(RangeError):
+        empirical_distribution(np.arange(20.0), 8)
+
+
 def test_extract_patterns_count_and_delay():
     series = [3.0, 1.0, 4.0, 1.5, 5.0, 9.0, 2.0]
     pats = extract_patterns(series, 3)
