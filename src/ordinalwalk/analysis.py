@@ -28,6 +28,7 @@ from .errors import EmptyError, LengthError, ParseError, RangeError
 from .metrics import (
     MetricReport,
     g_statistic,
+    kl_divergence,
     missing_pattern_count,
     momentum_epsilon,
     permutation_entropy,
@@ -35,16 +36,15 @@ from .metrics import (
 from .nullmodels import (
     NullModel,
     NullSpec,
-    _kl_with_fallback,
     bootstrap_band,
     build_nulls,
 )
 from .patterns import (
-    MAX_ORDER,
     PatternDistribution,
     TiePolicy,
     TimeSeries,
     _apply_jitter,
+    _check_order,
     empirical_distributions,
     lex_unrank,
 )
@@ -75,10 +75,9 @@ class AnalysisConfig:
         orders = tuple(sorted(set(int(n) for n in self.orders)))
         if not orders:
             raise RangeError("need at least one order")
-        if orders[0] < _MIN_ORDER or orders[-1] > MAX_ORDER:
-            raise RangeError(
-                f"orders must lie in [{_MIN_ORDER}, {MAX_ORDER}], got {self.orders}"
-            )
+        if orders[0] < _MIN_ORDER:
+            raise RangeError(f"analysis needs order >= {_MIN_ORDER}, got {orders[0]}")
+        _check_order(orders[-1])
         object.__setattr__(self, "orders", orders)
         if self.policy is not None and self.policy.mode == "jitter" and self.policy.seed:
             raise RangeError("analysis jitters from the run seed; leave the policy's seed at 0")
@@ -227,7 +226,7 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     for null, band in zip(nulls, bands):
         n = null.order
         empirical = empiricals[n]
-        kl = _kl_with_fallback(empirical, null.distribution, config.smoothing)
+        kl = kl_divergence(empirical, null.distribution, config.smoothing)
         classes = equivalence_classes(n) if n <= 5 else rc_closure(n)
         report = MetricReport(
             n=n,

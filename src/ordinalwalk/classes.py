@@ -14,7 +14,7 @@ floor (spread < 1e-4 at b = 0.65).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Literal
 
@@ -26,8 +26,8 @@ from .patterns import (
     MAX_ORDER,
     OrdinalPattern,
     PatternDistribution,
+    _symmetry_ranks,
     lex_unrank,
-    symmetry_transform,
 )
 
 _N3_CLASSES = [
@@ -83,19 +83,20 @@ _N5_CLASSES = [
 _TABLES = {3: _N3_CLASSES, 4: _N4_CLASSES, 5: _N5_CLASSES}
 
 
-def _rc_rank(n: int, rank: int) -> int:
-    return symmetry_transform(lex_unrank(n, rank), "reverse_complement").rank
-
-
 @dataclass(frozen=True)
 class EquivalenceClassTable:
     """A partition of all n! lex ranks into groups of equal-probability
     patterns. Validated on construction: groups are disjoint, cover S_n,
-    and each is closed under reverse-complement."""
+    and each is closed under reverse-complement.
+
+    classes come out sorted, and ids is the read-only intp array with
+    ids[rank] the index in classes of the group holding that rank.
+    """
 
     order: int
     classes: tuple[tuple[int, ...], ...]
     source: Literal["reference", "rc_closure"]
+    ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.order
@@ -107,13 +108,15 @@ class EquivalenceClassTable:
             raise OrderError(
                 f"classes do not partition the {_FACT[n]} patterns of order {n}"
             )
-        for g in groups:
-            members = set(g)
-            for r in g:
-                if _rc_rank(n, r) not in members:
-                    raise OrderError(
-                        f"class {g} is not closed under reverse-complement"
-                    )
+        ids = np.empty(_FACT[n], dtype=np.intp)
+        ids[flat] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        ids.setflags(write=False)
+        object.__setattr__(self, "ids", ids)
+        open_classes = ids[ids[_symmetry_ranks(n, "reverse_complement")] != ids]
+        if open_classes.size:
+            raise OrderError(
+                f"class {groups[open_classes.min()]} is not closed under reverse-complement"
+            )
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -124,11 +127,7 @@ class EquivalenceClassTable:
             raise OrderMismatchError(
                 f"pattern order {pattern.order} vs table order {self.order}"
             )
-        rank = pattern.rank
-        for g in self.classes:
-            if rank in g:
-                return g
-        raise OrderError(f"rank {rank} missing from table")  # unreachable
+        return self.classes[self.ids[pattern.rank]]
 
     def as_strings(self) -> list[list[str]]:
         """Classes as lists of pattern strings, for JSON export."""
@@ -164,16 +163,9 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     """
     if not 2 <= n <= MAX_ORDER:
         raise OrderError(f"rc closure supports orders 2..{MAX_ORDER}, got {n}")
-    seen = set()
-    groups = []
-    for r in range(_FACT[n]):
-        if r in seen:
-            continue
-        partner = _rc_rank(n, r)
-        orbit = (r,) if partner == r else (r, partner)
-        seen.update(orbit)
-        groups.append(orbit)
-    return EquivalenceClassTable(n, tuple(groups), "rc_closure")
+    partners = _symmetry_ranks(n, "reverse_complement").tolist()
+    groups = tuple((r,) if p == r else (r, p) for r, p in enumerate(partners) if r <= p)
+    return EquivalenceClassTable(n, groups, "rc_closure")
 
 
 @dataclass(frozen=True)
@@ -202,10 +194,11 @@ def validate_classes(
         raise OrderMismatchError(
             f"distribution order {dist.order} vs table order {classes.order}"
         )
-    spreads = []
-    for g in classes.classes:
-        w = dist.weights[np.asarray(g, dtype=np.intp)]
-        spreads.append(float(w.max() - w.min()))
+    high = np.full(len(classes), -np.inf)
+    low = np.full(len(classes), np.inf)
+    np.maximum.at(high, classes.ids, dist.weights)
+    np.minimum.at(low, classes.ids, dist.weights)
+    spreads = (high - low).tolist()
     max_spread = max(spreads)
     return ClassSpreadReport(
         order=dist.order,

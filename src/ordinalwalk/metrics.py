@@ -1,12 +1,17 @@
 """Scalar measures on pattern distributions.
 
 permutation_entropy     normalized Shannon entropy, in [0, 1]
-kl_divergence           normalized KL divergence, optional pseudocount smoothing
+kl_divergence           normalized KL divergence, pseudocounts where unsupported
 missing_pattern_count   patterns with zero empirical weight
 g_statistic             total within-class deviation from class means
 momentum_epsilon        excess of the monotone pattern over its step-model value
 
 All logs are base 2; the log(n!) normalization makes the choice cancel.
+
+One smoothing rule holds for every divergence: q is used as given where
+it supports p; otherwise, for a sampled q (sample_count M > 0) and alpha
+> 0, the pseudocounts (count + alpha) / (M + alpha n!) replace it, and an
+exact q or alpha = 0 raises SupportError.
 """
 
 from __future__ import annotations
@@ -32,6 +37,27 @@ def permutation_entropy(dist: PatternDistribution) -> float:
     return h / math.log2(_FACT[dist.order])
 
 
+def _kl_rows(p_rows: np.ndarray, q: PatternDistribution, smoothing: float) -> np.ndarray:
+    """kl_divergence from q of every row of a (rows, n!) weight matrix,
+    with the smoothing rule applied row by row."""
+    if smoothing < 0:
+        raise RangeError(f"smoothing must be >= 0, got {smoothing}")
+    used = p_rows > 0
+    unsupported = (used & (q.weights == 0)).any(axis=1)
+    q_rows = q.weights
+    if unsupported.any():
+        if smoothing == 0 or q.sample_count == 0:
+            raise SupportError(
+                "q has zero weight on a pattern p uses; pass smoothing > 0 "
+                "for sampled models"
+            )
+        m = q.sample_count
+        smoothed = (q.weights * m + smoothing) / (m + smoothing * _FACT[q.order])
+        q_rows = np.where(unsupported[:, None], smoothed, q.weights)
+    ratio = np.divide(p_rows, q_rows, out=np.ones_like(p_rows), where=used)
+    return (p_rows * np.log2(ratio)).sum(axis=1) / math.log2(_FACT[q.order])
+
+
 def kl_divergence(
     p: PatternDistribution,
     q: PatternDistribution,
@@ -39,35 +65,20 @@ def kl_divergence(
 ) -> float:
     """KL divergence D(p || q) divided by log(n!).
 
-    With smoothing alpha > 0 and a sampled q (sample_count > 0), q is
-    replaced by the pseudocount estimate (count + alpha) / (M + alpha n!)
-    before dividing; exact closed-form weights (sample_count = 0) are
-    never smoothed. Against the uniform distribution this equals
-    1 - permutation_entropy(p).
+    If q supports p the divergence is unsmoothed, whatever the smoothing.
+    Otherwise, with smoothing alpha > 0 and a sampled q (sample_count M
+    > 0), q is replaced by the pseudocount estimate (count + alpha) /
+    (M + alpha n!); exact weights (sample_count 0) are never smoothed.
+    Against the uniform distribution this equals 1 - permutation_entropy(p).
 
     Raises
     ------
     SupportError
-        if p puts weight where (unsmoothed) q has none.
+        if p puts weight where q has none and q cannot be smoothed.
     """
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} vs {q.order}")
-    if smoothing < 0:
-        raise RangeError(f"smoothing must be >= 0, got {smoothing}")
-    qw = q.weights
-    if smoothing > 0 and q.sample_count > 0:
-        m = q.sample_count
-        counts = qw * m
-        qw = (counts + smoothing) / (m + smoothing * _FACT[q.order])
-    mask = p.weights > 0
-    if np.any(qw[mask] == 0):
-        raise SupportError(
-            "q has zero weight on a pattern p uses; pass smoothing > 0 "
-            "for sampled models"
-        )
-    pw = p.weights[mask]
-    div = float(np.sum(pw * np.log2(pw / qw[mask])))
-    return div / math.log2(_FACT[p.order])
+    return float(_kl_rows(p.weights[None, :], q, smoothing)[0])
 
 
 def missing_pattern_count(dist: PatternDistribution) -> int:
@@ -85,11 +96,8 @@ def g_statistic(dist: PatternDistribution, classes: EquivalenceClassTable) -> fl
         raise OrderMismatchError(
             f"distribution order {dist.order} vs table order {classes.order}"
         )
-    total = 0.0
-    for g in classes.classes:
-        w = dist.weights[np.asarray(g, dtype=np.intp)]
-        total += float(np.abs(w - w.mean()).sum())
-    return total
+    means = np.bincount(classes.ids, dist.weights) / np.bincount(classes.ids)
+    return float(np.abs(dist.weights - means[classes.ids]).sum())
 
 
 def momentum_epsilon(

@@ -43,8 +43,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import LengthError, OrderError, RangeError, SupportError
-from .metrics import kl_divergence
+from .classes import equivalence_classes
+from .errors import LengthError, OrderError, RangeError
+from .metrics import _kl_rows, kl_divergence
 from .patterns import (
     _FACT,
     OrdinalPattern,
@@ -54,11 +55,11 @@ from .patterns import (
     _as_values,
     _check_order,
     _lag_ranks,
+    _symmetry_ranks,
     empirical_distribution,
     empirical_distributions,
     lex_unrank,
     pattern_counts,
-    symmetry_transform,
 )
 
 # --------------------------------------------------------------------------
@@ -169,69 +170,46 @@ def step_sign_distribution(model: StepModel) -> PatternDistribution:
 # closed forms
 # --------------------------------------------------------------------------
 
-# per-class formulas for uniform steps, valid on b in [1/2, 1);
-# (members, formula below 2/3, formula above) with None meaning one branch
+# per-class formulas for uniform steps, valid on b in [1/2, 1): one
+# (formula below 2/3, formula above) pair per class of
+# equivalence_classes(n), in its order, with None meaning one branch;
+# each line ends with the class's lowest member
 
 _UNIF3 = [
-    (("123",), lambda b: b ** 2, None),
-    (("132", "213"), lambda b: 0.5 * (1.0 - b) * (3.0 * b - 1.0), None),
-    (("231", "312"), lambda b: 0.5 * (1.0 - b) ** 2, None),
-    (("321",), lambda b: (1.0 - b) ** 2, None),
+    (lambda b: b ** 2, None),  # 123
+    (lambda b: 0.5 * (1.0 - b) * (3.0 * b - 1.0), None),  # 132
+    (lambda b: 0.5 * (1.0 - b) ** 2, None),  # 231
+    (lambda b: (1.0 - b) ** 2, None),  # 321
 ]
 
 _UNIF4 = [
-    (("1234",), lambda b: b ** 3, None),
-    (("1243", "2134"), lambda b: 0.5 * b * (1.0 - b) * (3.0 * b - 1.0), None),
-    (("1324",), lambda b: (1.0 - b) * (7.0 * b * b - 5.0 * b + 1.0) / 3.0, None),
-    (("1342", "3124"), lambda b: (1.0 - b) ** 2 * (4.0 * b - 1.0) / 6.0, None),
-    (("1423", "2314"), lambda b: (1.0 - b) ** 2 * (5.0 * b - 2.0) / 6.0, None),
-    (("1432", "2143", "3214"),
-     lambda b: (2.0 - 12.0 * b + 24.0 * b * b - 15.0 * b ** 3) / 6.0,
-     lambda b: (1.0 - b) ** 2 * (2.0 * b - 1.0)),
-    (("2341", "3412", "4123"), lambda b: (1.0 - b) ** 3 / 6.0, None),
-    (("2413",), lambda b: (1.0 - b) ** 3 / 6.0, None),
-    (("2431", "4213"),
-     lambda b: (24.0 * b ** 3 - 45.0 * b * b + 27.0 * b - 5.0) / 6.0,
-     lambda b: 0.5 * (1.0 - b) ** 3),
-    (("3142",),
-     lambda b: (25.0 * b ** 3 - 48.0 * b * b + 30.0 * b - 6.0) / 6.0,
-     lambda b: (1.0 - b) ** 3 / 3.0),
-    (("3241", "4132"), lambda b: (1.0 - b) ** 3 / 6.0, None),
-    (("3421", "4312"), lambda b: 0.5 * (1.0 - b) ** 3, None),
-    (("4231",), lambda b: (1.0 - b) ** 3 / 3.0, None),
-    (("4321",), lambda b: (1.0 - b) ** 3, None),
+    (lambda b: b ** 3, None),  # 1234
+    (lambda b: 0.5 * b * (1.0 - b) * (3.0 * b - 1.0), None),  # 1243
+    (lambda b: (1.0 - b) * (7.0 * b * b - 5.0 * b + 1.0) / 3.0, None),  # 1324
+    (lambda b: (1.0 - b) ** 2 * (4.0 * b - 1.0) / 6.0, None),  # 1342
+    (lambda b: (1.0 - b) ** 2 * (5.0 * b - 2.0) / 6.0, None),  # 1423
+    (lambda b: (2.0 - 12.0 * b + 24.0 * b * b - 15.0 * b ** 3) / 6.0,
+     lambda b: (1.0 - b) ** 2 * (2.0 * b - 1.0)),  # 1432
+    (lambda b: (1.0 - b) ** 3 / 6.0, None),  # 2341
+    (lambda b: (1.0 - b) ** 3 / 6.0, None),  # 2413
+    (lambda b: (24.0 * b ** 3 - 45.0 * b * b + 27.0 * b - 5.0) / 6.0,
+     lambda b: 0.5 * (1.0 - b) ** 3),  # 2431
+    (lambda b: (25.0 * b ** 3 - 48.0 * b * b + 30.0 * b - 6.0) / 6.0,
+     lambda b: (1.0 - b) ** 3 / 3.0),  # 3142
+    (lambda b: (1.0 - b) ** 3 / 6.0, None),  # 3241
+    (lambda b: 0.5 * (1.0 - b) ** 3, None),  # 3421
+    (lambda b: (1.0 - b) ** 3 / 3.0, None),  # 4231
+    (lambda b: (1.0 - b) ** 3, None),  # 4321
 ]
 
 _UNIF_TABLES = {3: _UNIF3, 4: _UNIF4}
 
 
-@lru_cache(maxsize=None)
-def _class_ranks(n: int) -> tuple[tuple[int, ...], ...]:
-    table = _UNIF_TABLES[n]
-    return tuple(
-        tuple(OrdinalPattern.from_string(s).rank for s in members)
-        for members, _, _ in table
-    )
-
-
-@lru_cache(maxsize=None)
-def _complement_perm(n: int) -> np.ndarray:
-    perm = np.empty(_FACT[n], dtype=np.intp)
-    for r in range(_FACT[n]):
-        perm[r] = symmetry_transform(lex_unrank(n, r), "complement").rank
-    perm.setflags(write=False)
-    return perm
-
-
 def _uniform_weights(n: int, b: float) -> np.ndarray:
     low_branch = b <= 2.0 / 3.0
-    weights = np.empty(_FACT[n])
-    for ranks, (_, low, high) in zip(_class_ranks(n), _UNIF_TABLES[n]):
-        fn = low if (high is None or low_branch) else high
-        value = fn(b)
-        for r in ranks:
-            weights[r] = value
-    return weights
+    values = np.array([low(b) if high is None or low_branch else high(b)
+                       for low, high in _UNIF_TABLES[n]])
+    return values[equivalence_classes(n).ids]
 
 
 def closed_form_uniform(n: int, b: float) -> PatternDistribution:
@@ -248,7 +226,7 @@ def closed_form_uniform(n: int, b: float) -> PatternDistribution:
     if b >= 0.5:
         weights = _uniform_weights(n, b)
     else:
-        weights = _uniform_weights(n, 1.0 - b)[_complement_perm(n)]
+        weights = _uniform_weights(n, 1.0 - b)[_symmetry_ranks(n, "complement")]
     return PatternDistribution(n, weights, "model", 0)
 
 
@@ -578,18 +556,6 @@ def _seed_int(seed) -> int | None:
     return None  # derived SeedSequence; recorded upstream
 
 
-def _kl_with_fallback(p, q, smoothing):
-    # pseudocounts only when the sampled null actually leaves an observed
-    # pattern empty; a fully supported null is used as-is, so exact and
-    # degenerate cases return 0 exactly
-    try:
-        return kl_divergence(p, q, 0.0)
-    except SupportError:
-        if smoothing <= 0 or q.sample_count == 0:
-            raise
-        return kl_divergence(p, q, smoothing)
-
-
 def kl_to_null(
     series,
     n: int,
@@ -608,7 +574,7 @@ def kl_to_null(
     """
     null_dist = build_null(series, n, model_spec or NullSpec(), seed).distribution
     p = empirical_distribution(series, n, d, policy)
-    return _kl_with_fallback(p, null_dist, smoothing)
+    return kl_divergence(p, null_dist, smoothing)
 
 
 @dataclass(frozen=True)
@@ -634,9 +600,10 @@ def bootstrap_band(
 
     Draws `replicates` associated walks of walk_length (default: the
     series length) from `seed` as one (replicates, walk_length) stack,
-    ranks the stack at every null's order in one pass, and scores each
-    replicate against that null, the one the series itself is scored
-    against. Under a jitter policy the stack is jittered once from the
+    ranks the stack at every null's order in one pass, and scores its rows
+    against that null (the one the series itself is scored against) in
+    one row-wise divergence, smoothed per row as kl_divergence would be.
+    Under a jitter policy the stack is jittered once from the
     same stream. Takes one null per order and returns one BandResult per
     null; bit-identical across runs.
     """
@@ -647,7 +614,7 @@ def bootstrap_band(
     rng = np.random.default_rng(seed)
     jitter = policy is not None and policy.mode == "jitter"
     null_of = {q.order: q for q in nulls}
-    draws: dict[int, list[float]] = {n: [] for n in null_of}
+    draws: dict[int, list[np.ndarray]] = {n: [] for n in null_of}
     block = max(1, _CHUNK // length)
     for start in range(0, replicates, block):
         stack = _resampled_walks(values, (min(block, replicates - start), length), rng)
@@ -655,13 +622,8 @@ def bootstrap_band(
             stack += rng.normal(0.0, policy.jitter_scale, stack.shape)
         counts = pattern_counts(stack, null_of, d, None if jitter else policy)
         for n, rows in counts.items():
-            windows = length - (n - 1) * d
-            draws[n] += [
-                _kl_with_fallback(PatternDistribution(n, row / windows, "empirical", windows),
-                                  null_of[n], smoothing)
-                for row in rows
-            ]
+            draws[n].append(_kl_rows(rows / (length - (n - 1) * d), null_of[n], smoothing))
     return tuple(
-        BandResult(float(np.mean(kl)), float(np.std(kl, ddof=1)), tuple(kl))
-        for kl in (draws[q.order] for q in nulls)
+        BandResult(float(np.mean(kl)), float(np.std(kl, ddof=1)), tuple(kl.tolist()))
+        for kl in (np.concatenate(draws[q.order]) for q in nulls)
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -259,6 +260,16 @@ def symmetry_transform(
     else:
         raise RangeError(f"unknown symmetry {kind!r}")
     return OrdinalPattern(out)
+
+
+@lru_cache(maxsize=None)
+def _symmetry_ranks(n: int, kind: str) -> np.ndarray:
+    """Read-only intp array mapping each lex rank of order n to the rank
+    of its symmetry_transform under kind; built once per (n, kind)."""
+    ranks = np.array([symmetry_transform(lex_unrank(n, r), kind).rank
+                      for r in range(_FACT[n])], dtype=np.intp)
+    ranks.setflags(write=False)
+    return ranks
 
 
 # --------------------------------------------------------------------------

@@ -172,3 +172,45 @@ class TestEntropyDivergenceIdentity:
     @given(random_dists)
     def test_entropy_in_unit_interval(self, dist):
         assert 0.0 <= permutation_entropy(dist) <= 1.0 + 1e-12
+
+
+class TestSmoothingRule:
+    """One rule for every divergence: q as given where it supports p, and
+    pseudocounts only for the rows a sampled q leaves unsupported."""
+
+    # q sampled from 8 windows: counts (4, 2, 2, 0, 0, 0)
+    Q = _dist(3, [0.5, 0.25, 0.25, 0.0, 0.0, 0.0], "model", 8)
+    ROWS = np.array([
+        [0.5, 0.5, 0.0, 0.0, 0.0, 0.0],     # supported
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.0],     # not supported
+        [0.25, 0.25, 0.5, 0.0, 0.0, 0.0],   # supported
+    ])
+
+    def test_rows_smoothed_only_where_unsupported(self):
+        from ordinalwalk.metrics import _kl_rows
+
+        got = _kl_rows(self.ROWS, self.Q, 1.0)
+        assert got[0] == 0.5 / np.log2(6.0)  # 0.5 log2(1) + 0.5 log2(2)
+        for i in (0, 2):
+            assert got[i] == kl_divergence(_dist(3, self.ROWS[i]), self.Q, 0.0)
+        pseudo = (self.Q.weights * 8 + 1.0) / (8 + 1.0 * 6)
+        assert got[1] == np.log2(1.0 / pseudo[3]) / np.log2(6.0)
+        assert got[1] == kl_divergence(_dist(3, self.ROWS[1]), self.Q, 1.0)
+
+    def test_exact_null_or_zero_smoothing_raises(self):
+        from ordinalwalk.metrics import _kl_rows
+
+        exact = _dist(3, self.Q.weights, "model", 0)
+        with pytest.raises(SupportError):
+            _kl_rows(self.ROWS, exact, 1.0)
+        with pytest.raises(SupportError):
+            _kl_rows(self.ROWS, self.Q, 0.0)
+        with pytest.raises(SupportError):
+            kl_divergence(_dist(3, self.ROWS[1]), exact, 1.0)
+        # an exact null that supports every row needs no smoothing
+        assert np.array_equal(_kl_rows(self.ROWS[[0, 2]], exact, 1.0),
+                              _kl_rows(self.ROWS[[0, 2]], self.Q, 0.0))
+
+    def test_supported_sampled_null_is_not_smoothed(self):
+        p = _dist(3, self.ROWS[0])
+        assert kl_divergence(p, self.Q, 1.0) == kl_divergence(p, self.Q, 0.0)
