@@ -14,6 +14,7 @@ results do not depend on evaluation order.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -112,18 +113,67 @@ def ingest_csv(path, column: int | str = 0, header: bool = False) -> TimeSeries:
 
     column selects by zero-based index, or by name when header is set.
     Cells must parse as finite numbers; a blank line mid-series, a short
-    row, or a non-numeric cell raises ParseError naming the line. Blank
-    lines after the last value are tolerated.
+    row, a non-numeric cell or a byte that is not UTF-8 raises ParseError
+    naming the line. Blank lines after the last value are tolerated.
+
+    A well-formed file is read by a numpy.loadtxt fast path; every other
+    file goes through the row parser, which is the only source of
+    ParseError and EmptyError, so each error keeps its message and line.
     """
     if isinstance(column, str) and not header:
         raise ParseError(f"{path}: selecting column {column!r} by name needs header=True")
     if isinstance(column, int) and column < 0:
         raise ParseError(f"{path}: column index must be >= 0, got {column}")
+    values = _loadtxt_column(path, column, header)
+    return TimeSeries(_parse_rows(path, column, header) if values is None else values)
+
+
+def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
+    """The column as numpy.loadtxt reads it, or None when the row parser
+    must read the file.
+
+    Without quotes or carriage returns, loadtxt splits lines and cells as
+    csv.reader does and accepts a subset of what float() accepts, with the
+    same values. It differs in skipping empty lines and in reading
+    non-finite cells, so its result stands only when every line up to the
+    last non-whitespace byte gave one finite value.
+    """
+    with open(path, "rb") as handle:
+        data = handle.read().removeprefix(codecs.BOM_UTF8)  # as loadtxt reads it
+    end = len(data.rstrip())
+    rows = data.count(b"\n", 0, end) + 1 - header if end else 0
+    if rows < 1 or b'"' in data or b"\r" in data:
+        return None
+    index = column
+    if header:  # rows >= 1, so the header line ends in a newline
+        try:
+            first = data[: data.find(b"\n")].decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        names = [cell.strip() for cell in first.split(",")]
+        if not any(names) or (isinstance(column, str) and column not in names):
+            return None  # a blank or unmatched header line: the row parser names it
+        if isinstance(column, str):
+            index = names.index(column)
+    del data  # loadtxt reads the path itself; holding the bytes raises the peak
+    try:
+        values = np.loadtxt(path, delimiter=",", usecols=index, comments=None,
+                            skiprows=int(header), ndmin=1, encoding="utf-8-sig")
+    except (ValueError, OverflowError):  # a cell, row, column index or byte it rejects
+        return None
+    if values.size != rows or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _parse_rows(path, column: int | str, header: bool) -> list[float]:
+    """Read the column line by line with csv.reader and float(), raising
+    ParseError at the first line that does not hold a finite value."""
     values: list[float] = []
     pending_blank: int | None = None
     index: int | None = column if isinstance(column, int) else None
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
+        for lineno, row in enumerate(csv.reader(_utf8_lines(handle, path)), start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 if pending_blank is None:
                     pending_blank = lineno
@@ -157,7 +207,25 @@ def ingest_csv(path, column: int | str = 0, header: bool = False) -> TimeSeries:
             values.append(value)
     if not values:
         raise EmptyError(f"{path}: no data rows")
-    return TimeSeries(np.asarray(values))
+    return values
+
+
+def _utf8_lines(handle, path):
+    """Yield the lines of a text handle; a byte that is not UTF-8 raises
+    ParseError naming its line."""
+    try:
+        yield from handle
+    except UnicodeDecodeError:
+        with open(path, "rb") as raw:
+            data = raw.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            lineno = len(data[: exc.start + 1].splitlines())
+            raise ParseError(
+                f"{path}: line {lineno}: byte {data[exc.start]:#04x} is not UTF-8"
+            ) from None
+        raise
 
 
 # --------------------------------------------------------------------------

@@ -100,6 +100,8 @@ class EquivalenceClassTable:
 
     def __post_init__(self):
         n = self.order
+        if not 2 <= n <= MAX_ORDER:
+            raise OrderError(f"class tables support orders 2..{MAX_ORDER}, got {n}")
         groups = tuple(tuple(sorted(int(r) for r in g)) for g in self.classes)
         groups = tuple(sorted(groups))
         object.__setattr__(self, "classes", groups)

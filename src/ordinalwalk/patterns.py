@@ -165,6 +165,8 @@ class PatternDistribution:
             raise RangeError(
                 f"expected {_FACT[n]} weights for order {n}, got shape {w.shape}"
             )
+        if not np.isfinite(w).all():
+            raise RangeError("weights must be finite")
         if np.any(w < 0):
             raise RangeError("weights must be nonnegative")
         total = float(w.sum())

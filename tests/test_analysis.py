@@ -89,6 +89,13 @@ def test_ingest_empty_file(tmp_path):
         ingest_csv(path)
 
 
+def test_ingest_non_utf8_names_line(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1.0\n2.0\ncaf\xe9\n3.0\n")
+    with pytest.raises(ParseError, match="line 3: byte 0xe9 is not UTF-8"):
+        ingest_csv(path)
+
+
 def test_ingest_missing_header_name(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("a,b\n1,2\n")

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ordinalwalk import (
+    EquivalenceClassTable,
     OrderError,
     OrderMismatchError,
     OrdinalPattern,
@@ -53,6 +54,12 @@ def test_classes_only_for_three_four_five():
         equivalence_classes(6)
     with pytest.raises(OrderError):
         equivalence_classes(2)
+
+
+@pytest.mark.parametrize("n", [1, 8, -1])
+def test_class_table_order_cap(n):
+    with pytest.raises(OrderError, match="orders 2..7"):
+        EquivalenceClassTable(n, ((0,),), "reference")
 
 
 def test_rc_closure_small_orders():

@@ -86,6 +86,13 @@ def test_bad_cell_is_data_error(tmp_path):
     assert main(["analyze", str(path), "--seed", "1"]) == 2
 
 
+def test_non_utf8_file_is_data_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"1.0\n\xe9\n2.0\n")
+    assert main(["analyze", str(path), "--seed", "1"]) == 2
+    assert "line 2" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     path = _walk_csv(tmp_path)
     assert main(["analyze", str(path), "--frobnicate"]) == 1

@@ -129,6 +129,12 @@ def test_timeseries_validation():
         ts.values[0] = 9.0  # read-only
 
 
+def test_distribution_rejects_non_finite_weights():
+    # a NaN total passes the sum check's comparison, so it needs its own
+    with pytest.raises(RangeError, match="finite"):
+        PatternDistribution(3, [np.nan, 0.2, 0.2, 0.2, 0.2, 0.2], "empirical", 10)
+
+
 def test_distribution_must_sum_to_one():
     with pytest.raises(RangeError):
         PatternDistribution(3, np.full(6, 0.2), "model", 0)
