@@ -173,7 +173,7 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
     pending_blank: int | None = None
     index: int | None = column if isinstance(column, int) else None
     with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(csv.reader(_utf8_lines(handle, path)), start=1):
+        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
             if not row or all(cell.strip() == "" for cell in row):
                 if pending_blank is None:
                     pending_blank = lineno
@@ -208,6 +208,17 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
     if not values:
         raise EmptyError(f"{path}: no data rows")
     return values
+
+
+def _csv_rows(handle, path):
+    """csv.reader over the lines of a text handle; a record csv rejects
+    (a cell longer than csv.field_size_limit()) raises ParseError naming
+    its line."""
+    rows = csv.reader(_utf8_lines(handle, path))
+    try:
+        yield from rows
+    except csv.Error as exc:
+        raise ParseError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
 def _utf8_lines(handle, path):
@@ -348,8 +359,11 @@ def windowed_analyze(
 # emission
 # --------------------------------------------------------------------------
 
-_CSV_COLUMNS = ("window_start", "n", "pe", "missing", "kl", "kl_mean",
-                "kl_std", "g", "eps_up", "eps_down", "seed")
+#: csv column -> MetricReport field, after the leading window_start column
+_CSV_COLUMNS = {"n": "n", "pe": "permutation_entropy", "missing": "missing_count",
+                "kl": "kl_to_model", "kl_mean": "kl_band_mean", "kl_std": "kl_band_std",
+                "g": "g_statistic", "eps_up": "epsilon_up", "eps_down": "epsilon_down",
+                "seed": "seed"}
 
 
 def _as_results(result) -> tuple[list[AnalysisResult], bool]:
@@ -395,18 +409,11 @@ def emit(result, format: Literal["json", "csv", "plotdata"] = "json") -> bytes:
     if format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow(["window_start", *_CSV_COLUMNS])
         for r in results:
             for oa in r.per_order:
-                rep = oa.report
-                writer.writerow([
-                    _cell(r.window_start), _cell(rep.n),
-                    _cell(rep.permutation_entropy), _cell(rep.missing_count),
-                    _cell(rep.kl_to_model), _cell(rep.kl_band_mean),
-                    _cell(rep.kl_band_std), _cell(rep.g_statistic),
-                    _cell(rep.epsilon_up), _cell(rep.epsilon_down),
-                    _cell(rep.seed),
-                ])
+                writer.writerow([_cell(r.window_start)] + [
+                    _cell(getattr(oa.report, field)) for field in _CSV_COLUMNS.values()])
         return buffer.getvalue().encode()
     if format == "plotdata":
         buffer = io.StringIO()

@@ -17,7 +17,7 @@ exact q or alpha = 0 raises SupportError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -157,18 +157,5 @@ class MetricReport:
             raise RangeError(f"missing_count out of range: {self.missing_count}")
 
     def to_json_dict(self) -> dict:
-        """Stable field names for serialization."""
-        return {
-            "n": self.n,
-            "permutation_entropy": self.permutation_entropy,
-            "missing_count": self.missing_count,
-            "kl_to_model": self.kl_to_model,
-            "g_statistic": self.g_statistic,
-            "epsilon_up": self.epsilon_up,
-            "epsilon_down": self.epsilon_down,
-            "kl_band_mean": self.kl_band_mean,
-            "kl_band_std": self.kl_band_std,
-            "classes_source": self.classes_source,
-            "model": self.model,
-            "seed": self.seed,
-        }
+        """Stable field names for serialization: the dataclass fields."""
+        return asdict(self)

@@ -58,6 +58,7 @@ from .patterns import (
     _symmetry_ranks,
     empirical_distribution,
     empirical_distributions,
+    lex_rank,
     lex_unrank,
     pattern_counts,
 )
@@ -338,6 +339,9 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
 
     Midpoint rule with resolution cells per axis; the last axis is counted
     analytically per column, so cost grows as resolution^(n-2) columns.
+    Each column's n-1 cut points (where the last value passes a prefix
+    value) are counted once; the last value's slot among the prefix values
+    then spans from the highest count below it to the lowest count above.
     A column whose prefix sums tie at the cell center spreads its mass
     equally over every ordering the non-tied pairs admit (normalized per
     column, so the volumes always total exactly 1). Error is
@@ -345,49 +349,33 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     everything else is exact.
     """
     mids = (b - 1.0) + (np.arange(resolution) + 0.5) / resolution
-    words = [lex_unrank(n, r).word for r in range(_FACT[n])]
     prefixes = [lex_unrank(n - 1, r).word for r in range(_FACT[n - 1])]
-    prefix_index = {pword: u for u, pword in enumerate(prefixes)}
-    prefix_of = [
-        prefix_index[tuple(r - (r > word[n - 1]) for r in word[: n - 1])]
-        for word in words
-    ]
+    pairs = list(combinations(range(n - 1), 2))
+    earlier, later = np.array(pairs).T
+    # above[u, p]: prefix u puts the later entry of pair p above the earlier
+    above = np.array([[w[c] > w[a] for a, c in pairs] for w in prefixes])
+    # slots[u][j]: the rank of the pattern ordered as prefix u whose last
+    # entry is the (j+1)-th smallest, and the prefix positions below and
+    # above that entry
+    slots = []
+    for w in prefixes:
+        at = np.argsort(w)
+        slots.append([(lex_rank(OrdinalPattern(tuple(r + (r > j) for r in w) + (j + 1,))),
+                       at[:j], at[j:]) for j in range(n)])
     acc = np.zeros(_FACT[n])
     for z in _prefix_chunks(resolution, n, mids, 1 << 17):
-        k = z.shape[0]
-        pair_tie = {}
-        pair_pos = {}
-        for a in range(n - 1):
-            for c in range(a + 1, n - 1):
-                d = z[:, c] - z[:, a]
-                pair_tie[a, c] = np.abs(d) <= _SNAP_SUM
-                pair_pos[a, c] = d > 0
-        share = np.empty((len(prefixes), k))
-        for u, pword in enumerate(prefixes):
-            ind = np.ones(k)
-            for a in range(n - 1):
-                for c in range(a + 1, n - 1):
-                    match = pair_pos[a, c] == (pword[c] > pword[a])
-                    ind = ind * np.where(pair_tie[a, c], 1.0, match)
-            share[u] = ind
-        share /= share.sum(axis=0)
-        z_last = z[:, n - 2]
-        for rank, word in enumerate(words):
-            weight = share[prefix_of[rank]]
-            if not weight.any():
-                continue
-            lo = np.full(k, -np.inf)
-            hi = np.full(k, np.inf)
-            for a in range(n - 1):
-                cut = z[:, a] - z_last
-                if word[a] < word[n - 1]:
-                    lo = np.maximum(lo, cut)
-                else:
-                    hi = np.minimum(hi, cut)
-            lo_grid = (lo - (b - 1.0)) * resolution - 0.5
-            hi_grid = (hi - (b - 1.0)) * resolution - 0.5
-            cells = _count_below(hi_grid, resolution) - _count_below(lo_grid, resolution)
-            acc[rank] += float((weight * np.maximum(cells, 0.0)).sum())
+        # a pair within _SNAP_SUM of a tie admits both of its orders
+        gap = z.T[later] - z.T[earlier]
+        admits = np.where(above[:, :, None], gap >= -_SNAP_SUM, gap <= _SNAP_SUM).all(axis=1)
+        admitted = admits.sum(axis=0)
+        counts = _count_below((z.T - z[:, -1] - (b - 1.0)) * resolution - 0.5, resolution)
+        for u in np.flatnonzero(admits.any(axis=1)):
+            share = admits[u] / admitted
+            for rank, lower, upper in slots[u]:
+                # count(max S) = max count(S), as _count_below is monotone
+                cells = (counts[upper].min(axis=0, initial=resolution)
+                         - counts[lower].max(axis=0, initial=0.0))
+                acc[rank] += float((share * np.maximum(cells, 0.0)).sum())
     acc /= float(resolution) ** (n - 1)
     acc.setflags(write=False)
     return acc
@@ -406,8 +394,8 @@ def volume_oracle(
     if model.family != "uniform_b":
         raise RangeError("the volume oracle is defined for uniform_b models")
     n = pattern.order
-    if n > 5:
-        raise OrderError(f"volume oracle supports n <= 5, got {n}")
+    if not 3 <= n <= 5:
+        raise OrderError(f"volume oracle supports n in [3, 5], got {n}")
     if resolution < 2:
         raise RangeError(f"resolution must be >= 2, got {resolution}")
     sweep = _oracle_sweep(n, float(model.b), int(resolution))

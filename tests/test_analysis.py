@@ -96,6 +96,14 @@ def test_ingest_non_utf8_names_line(tmp_path):
         ingest_csv(path)
 
 
+def test_ingest_cell_over_csv_field_limit_names_line(tmp_path):
+    # a cell longer than csv.field_size_limit() in the column being read
+    path = tmp_path / "long.csv"
+    path.write_text("t,x\n1,1.0\n2,2.0\n3," + "9" * 200_000 + "\n4,3.0\n")
+    with pytest.raises(ParseError, match="line 4: field larger than field limit"):
+        ingest_csv(path, column="x", header=True)
+
+
 def test_ingest_missing_header_name(tmp_path):
     path = tmp_path / "named.csv"
     path.write_text("a,b\n1,2\n")

@@ -93,6 +93,13 @@ def test_non_utf8_file_is_data_error(tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+def test_cell_over_csv_field_limit_is_data_error(tmp_path, capsys):
+    path = tmp_path / "long.csv"
+    path.write_text("1.0\n2.0\n" + "9" * 200_000 + "\n3.0\n")
+    assert main(["analyze", str(path), "--seed", "1"]) == 2
+    assert "line 3: field larger than field limit" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_usage_error(tmp_path):
     path = _walk_csv(tmp_path)
     assert main(["analyze", str(path), "--frobnicate"]) == 1
@@ -296,3 +303,9 @@ def test_oracle_emit(capsysbinary):
     assert len(lines) == 1 + 6
     worst = max(float(line.split(",")[4]) for line in lines[1:])
     assert worst < 0.003
+
+
+@pytest.mark.parametrize("n", ["2", "6"])
+def test_oracle_order_outside_three_to_five_names_it(n, capsys):
+    assert main(["oracle", "--n", n, "--resolution", "4"]) == 3
+    assert f"volume oracle supports n in [3, 5], got {n}" in capsys.readouterr().err

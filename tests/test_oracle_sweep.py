@@ -1,0 +1,118 @@
+"""The quadrature sweep against the per-pattern sweep it replaced.
+
+`reference_sweep` is the earlier `nullmodels._oracle_sweep`, copied
+verbatim without its cache. For every pattern in every column chunk it
+rebuilt the pattern's lower and upper bounds from the n-1 cut points and
+counted cells twice. The current sweep counts each column's cuts once and
+reads every slot's cells from the counts below and above it; it must
+return the same volumes, bit for bit, including at b where prefix sums tie
+exactly at cell centers and the tie shares come into play.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ordinalwalk.nullmodels import (
+    _SNAP_SUM,
+    _count_below,
+    _oracle_sweep,
+    _prefix_chunks,
+)
+from ordinalwalk.patterns import _FACT, lex_unrank
+
+
+def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
+    """Quadrature volumes of all n! pattern regions in [b-1, b]^(n-1).
+
+    Midpoint rule with resolution cells per axis; the last axis is counted
+    analytically per column, so cost grows as resolution^(n-2) columns.
+    A column whose prefix sums tie at the cell center spreads its mass
+    equally over every ordering the non-tied pairs admit (normalized per
+    column, so the volumes always total exactly 1). Error is
+    O(1/resolution) from cells straddling the boundary hyperplanes;
+    everything else is exact.
+    """
+    mids = (b - 1.0) + (np.arange(resolution) + 0.5) / resolution
+    words = [lex_unrank(n, r).word for r in range(_FACT[n])]
+    prefixes = [lex_unrank(n - 1, r).word for r in range(_FACT[n - 1])]
+    prefix_index = {pword: u for u, pword in enumerate(prefixes)}
+    prefix_of = [
+        prefix_index[tuple(r - (r > word[n - 1]) for r in word[: n - 1])]
+        for word in words
+    ]
+    acc = np.zeros(_FACT[n])
+    for z in _prefix_chunks(resolution, n, mids, 1 << 17):
+        k = z.shape[0]
+        pair_tie = {}
+        pair_pos = {}
+        for a in range(n - 1):
+            for c in range(a + 1, n - 1):
+                d = z[:, c] - z[:, a]
+                pair_tie[a, c] = np.abs(d) <= _SNAP_SUM
+                pair_pos[a, c] = d > 0
+        share = np.empty((len(prefixes), k))
+        for u, pword in enumerate(prefixes):
+            ind = np.ones(k)
+            for a in range(n - 1):
+                for c in range(a + 1, n - 1):
+                    match = pair_pos[a, c] == (pword[c] > pword[a])
+                    ind = ind * np.where(pair_tie[a, c], 1.0, match)
+            share[u] = ind
+        share /= share.sum(axis=0)
+        z_last = z[:, n - 2]
+        for rank, word in enumerate(words):
+            weight = share[prefix_of[rank]]
+            if not weight.any():
+                continue
+            lo = np.full(k, -np.inf)
+            hi = np.full(k, np.inf)
+            for a in range(n - 1):
+                cut = z[:, a] - z_last
+                if word[a] < word[n - 1]:
+                    lo = np.maximum(lo, cut)
+                else:
+                    hi = np.minimum(hi, cut)
+            lo_grid = (lo - (b - 1.0)) * resolution - 0.5
+            hi_grid = (hi - (b - 1.0)) * resolution - 0.5
+            cells = _count_below(hi_grid, resolution) - _count_below(lo_grid, resolution)
+            acc[rank] += float((weight * np.maximum(cells, 0.0)).sum())
+    acc /= float(resolution) ** (n - 1)
+    acc.setflags(write=False)
+    return acc
+
+
+def _assert_same_bits(n, b, resolution):
+    expected = reference_sweep(n, b, resolution)
+    got = _oracle_sweep.__wrapped__(n, b, resolution)
+    assert got.tobytes() == expected.tobytes(), (n, b, resolution)
+
+
+@st.composite
+def sweeps(draw):
+    n = draw(st.sampled_from((3, 4, 5)))
+    resolution = draw(st.integers(2, 40))
+    # with 2(1-b)*resolution integral, two steps' cell centers cancel, so
+    # prefix sums tie; odd values also put a cell center at 0 (three-way ties)
+    tie = st.integers(1, 2 * resolution - 1).map(lambda m: 1.0 - m / (2 * resolution))
+    free = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    return n, draw(st.one_of(tie, free)), resolution
+
+
+@settings(max_examples=100, deadline=None)
+@given(sweeps())
+def test_sweep_matches_reference_bit_for_bit(case):
+    _assert_same_bits(*case)
+
+
+def test_sweep_matches_reference_across_chunks():
+    # 400^2 columns span two chunks; a cell center sits at 0 for this b
+    _assert_same_bits(4, 0.74875, 400)
+
+
+def test_sweep_matches_reference_at_a_near_tie():
+    # one cell center lies 7.5e-10 above 0, so that prefix sum ties with the
+    # origin, yet its cut lands across the snap edge from the origin's and
+    # counts differently; each tied ordering must read the counts in its
+    # own order (sorting the counts would give both orderings the same cells)
+    _assert_same_bits(3, 0.5005 + 7.5e-10, 1000)
