@@ -4,7 +4,8 @@ report emission.
 ingest_csv        read one numeric column into a TimeSeries, no imputation
 analyze           MetricReport per order for a whole series
 analyze_run       same, but returns the full AnalysisResult with distributions
-windowed_analyze  slide a window and analyze each position independently
+windowed_analyze  slide a window and analyze each position independently,
+                  windows in parallel on a thread pool
 emit              serialize results as json, csv, or plotdata bytes
 
 Every random stream derives from the configured seed and, for windows, the
@@ -19,6 +20,8 @@ import csv
 import io
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
@@ -333,7 +336,13 @@ def analyze(series, config: AnalysisConfig | None = None) -> list[MetricReport]:
 def windowed_run(
     series, wspec: WindowSpec, config: AnalysisConfig | None = None
 ) -> list[AnalysisResult]:
-    """Analyze every window position; window starts are 1-based."""
+    """Analyze every window position; window starts are 1-based.
+
+    Windows run on a thread pool with one thread per available core and
+    come back in start order. Each window's streams are keyed by its start,
+    so results do not depend on scheduling; the first failing window, in
+    start order, raises its error.
+    """
     config = config or AnalysisConfig()
     ts = _as_series(series)
     w, s = wspec.window_length, wspec.stride
@@ -341,11 +350,19 @@ def windowed_run(
         raise LengthError(
             f"window length {w} exceeds series length {len(ts)}"
         )
-    results = []
-    for start in range(0, len(ts) - w + 1, s):
-        window = TimeSeries(ts.values[start:start + w])
-        results.append(analyze_run(window, config, window_start=start + 1))
-    return results
+    starts = range(0, len(ts) - w + 1, s)
+
+    def run(start: int) -> AnalysisResult:
+        return analyze_run(TimeSeries(ts.values[start:start + w]), config, start + 1)
+
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        cores = os.cpu_count() or 1
+    # threads, not processes: numpy releases the GIL in the draws, sums and
+    # comparisons, the class tables are shared, and nothing is pickled
+    with ThreadPoolExecutor(min(cores, len(starts))) as pool:
+        return list(pool.map(run, starts))
 
 
 def windowed_analyze(

@@ -35,7 +35,14 @@ from .errors import (
     TieError,
 )
 from .generators import GeneratorSpec, generate
-from .nullmodels import NullSpec, StepModel, build_null, closed_form_uniform, volume_oracle
+from .nullmodels import (
+    NullSpec,
+    StepModel,
+    _check_oracle_order,
+    build_null,
+    closed_form_uniform,
+    volume_oracle,
+)
 from .patterns import TiePolicy, all_patterns
 
 
@@ -338,6 +345,7 @@ def _cmd_classes(args) -> int:
 
 def _cmd_oracle(args) -> int:
     n = args.n
+    _check_oracle_order(n)  # before all_patterns, whose own range is wider
     lines = ["b,pattern,volume,closed_form,abs_err"]
     for b in args.b:
         closed = closed_form_uniform(n, b) if n in (3, 4) else None

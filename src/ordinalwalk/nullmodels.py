@@ -11,7 +11,8 @@ monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
 associated_walk                long walk resampled from a series' own steps
 build_nulls                    one realized null per order; an associated
-                               null ranks a single walk at every order
+                               null ranks a single walk, drawn in blocks,
+                               at every order
 kl_to_null                     divergence of a series from a chosen null
 bootstrap_band                 replicate divergences against the same null
 
@@ -57,7 +58,6 @@ from .patterns import (
     _lag_ranks,
     _symmetry_ranks,
     empirical_distribution,
-    empirical_distributions,
     lex_rank,
     lex_unrank,
     pattern_counts,
@@ -267,8 +267,8 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 # --------------------------------------------------------------------------
 
 #: walk values drawn and ranked at a time, which bounds the memory of
-#: Monte Carlo and bootstrap draws; the draws do not depend on it
-_CHUNK = 1 << 20
+#: associated, Monte Carlo and bootstrap draws; the draws do not depend on it
+_CHUNK = 1 << 16
 
 
 def monte_carlo_distribution(
@@ -381,6 +381,11 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     return acc
 
 
+def _check_oracle_order(n: int) -> None:
+    if not 3 <= n <= 5:
+        raise OrderError(f"volume oracle supports n in [3, 5], got {n}")
+
+
 def volume_oracle(
     pattern: OrdinalPattern, model: StepModel, resolution: int
 ) -> float:
@@ -394,8 +399,7 @@ def volume_oracle(
     if model.family != "uniform_b":
         raise RangeError("the volume oracle is defined for uniform_b models")
     n = pattern.order
-    if not 3 <= n <= 5:
-        raise OrderError(f"volume oracle supports n in [3, 5], got {n}")
+    _check_oracle_order(n)
     if resolution < 2:
         raise RangeError(f"resolution must be >= 2, got {resolution}")
     sweep = _oracle_sweep(n, float(model.b), int(resolution))
@@ -411,14 +415,20 @@ def default_walk_length(n_obs: int) -> int:
     return max(1_000_000, 100 * n_obs)
 
 
+def _walk_steps(values: np.ndarray, length: int) -> np.ndarray:
+    """The first differences of values, to resample into a walk of length."""
+    if values.size < 2:
+        raise LengthError("need at least two observations to extract steps")
+    if length < 2:
+        raise LengthError(f"walk length must be >= 2, got {length}")
+    return np.diff(values)
+
+
 def _resampled_walks(values: np.ndarray, shape, rng) -> np.ndarray:
     """Walks from 0 whose steps are resampled (with replacement) from the
     first differences of values; shape[-1] is the walk length."""
-    if values.size < 2:
-        raise LengthError("need at least two observations to extract steps")
-    if shape[-1] < 2:
-        raise LengthError(f"walk length must be >= 2, got {shape[-1]}")
-    return _walks(rng.choice(np.diff(values), size=shape[:-1] + (shape[-1] - 1,)))
+    steps = _walk_steps(values, shape[-1])
+    return _walks(rng.choice(steps, size=shape[:-1] + (shape[-1] - 1,)))
 
 
 def associated_walk(series, length: int, seed=0) -> TimeSeries:
@@ -511,15 +521,54 @@ def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]
         return tuple(build_null(series, n, spec, child)
                      for n, child in zip(orders, base.spawn(len(orders))))
     values = _as_values(series)
-    walk = associated_walk(values, spec.walk_length or default_walk_length(values.size), seed)
+    length = spec.walk_length or default_walk_length(values.size)
+    dists = _associated_distributions(values, orders, length, seed)
     model = StepModel.empirical(np.diff(values))
-    dists = empirical_distributions(walk, orders)
-    return tuple(
-        NullModel(model, n, PatternDistribution(n, dists[n].weights, "model",
-                                                dists[n].sample_count),
-                  "monte_carlo", dists[n].sample_count, _seed_int(seed))
-        for n in orders
-    )
+    return tuple(NullModel(model, n, dists[n], "monte_carlo", dists[n].sample_count,
+                           _seed_int(seed)) for n in orders)
+
+
+def _associated_distributions(values: np.ndarray, orders, length: int,
+                              seed) -> dict[int, PatternDistribution]:
+    """The pattern distribution at every order of associated_walk(values,
+    length, seed), drawn and ranked _CHUNK steps at a time.
+
+    Each block's cumsum starts from the walk's last value, so its sums are
+    those of one cumsum over the whole walk. Each block is ranked behind
+    the walk's last (max order - 1) values, and the windows that lie wholly
+    among them, counted with an earlier block, are skipped.
+    """
+    steps = _walk_steps(values, length)
+    if not orders:
+        raise RangeError("need at least one order")
+    for n in orders:
+        _check_order(n)
+    rng = np.random.default_rng(seed)
+    overlap = max(orders) - 1
+    counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
+    # one buffer for every block: the values kept from the walk so far, then
+    # the block's; fresh arrays per block cost more in page faults than work
+    buf = np.zeros(overlap + _CHUNK)
+    kept, counted = 1, 0  # leading values of buf in use; how many were ranked
+    for drawn in range(1, length, _CHUNK):
+        z = buf[:kept + min(_CHUNK, length - drawn)]
+        # the draws of rng.choice(steps, size), written in place
+        np.take(steps, rng.integers(0, steps.size, z.size - kept), out=z[kept:])
+        np.cumsum(z[kept - 1:], out=z[kept - 1:])
+        if not np.isfinite(z[-1]):  # a sum that leaves the finite never comes back
+            raise RangeError("series values must be finite")  # as TimeSeries says
+        if z.size <= overlap:  # too short to rank at the top order: keep all of it
+            kept = z.size
+            continue
+        for n, ranks in _lag_ranks(z, orders, 1, False):
+            counts[n] += np.bincount(ranks[max(counted - n + 1, 0):], minlength=_FACT[n])
+        buf[:overlap] = z[-overlap:]
+        kept = counted = overlap
+    if not counted:
+        raise LengthError(f"series of length {length} is too short for order "
+                          f"{overlap + 1} at delay 1 (needs {overlap + 1})")
+    return {n: PatternDistribution(n, c / (length - n + 1), "model", length - n + 1)
+            for n, c in counts.items()}
 
 
 def build_null(series, n: int, spec: NullSpec, seed=0) -> NullModel:
@@ -591,15 +640,20 @@ def bootstrap_band(
     ranks the stack at every null's order in one pass, and scores its rows
     against that null (the one the series itself is scored against) in
     one row-wise divergence, smoothed per row as kl_divergence would be.
-    Under a jitter policy the stack is jittered once from the
-    same stream. Takes one null per order and returns one BandResult per
-    null; bit-identical across runs.
+    Under a jitter policy the stack is jittered once from the first
+    child of `seed`, its own stream, so neither the walks nor the noise
+    depend on how many rows are drawn at a time. Takes one null per order
+    and returns one BandResult per null; bit-identical across runs.
     """
     if replicates < 2:
         raise RangeError(f"need at least 2 replicates, got {replicates}")
     values = _as_values(series)
     length = walk_length or values.size
-    rng = np.random.default_rng(seed)
+    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    rng = np.random.default_rng(base)
+    # the first child of base, derived without spawning, which would change base
+    noise = np.random.default_rng(np.random.SeedSequence(
+        base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
     jitter = policy is not None and policy.mode == "jitter"
     null_of = {q.order: q for q in nulls}
     draws: dict[int, list[np.ndarray]] = {n: [] for n in null_of}
@@ -607,7 +661,7 @@ def bootstrap_band(
     for start in range(0, replicates, block):
         stack = _resampled_walks(values, (min(block, replicates - start), length), rng)
         if jitter:
-            stack += rng.normal(0.0, policy.jitter_scale, stack.shape)
+            stack += noise.normal(0.0, policy.jitter_scale, stack.shape)
         counts = pattern_counts(stack, null_of, d, None if jitter else policy)
         for n, rows in counts.items():
             draws[n].append(_kl_rows(rows / (length - (n - 1) * d), null_of[n], smoothing))

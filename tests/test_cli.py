@@ -305,7 +305,7 @@ def test_oracle_emit(capsysbinary):
     assert worst < 0.003
 
 
-@pytest.mark.parametrize("n", ["2", "6"])
+@pytest.mark.parametrize("n", ["1", "2", "6", "8"])
 def test_oracle_order_outside_three_to_five_names_it(n, capsys):
     assert main(["oracle", "--n", n, "--resolution", "4"]) == 3
     assert f"volume oracle supports n in [3, 5], got {n}" in capsys.readouterr().err

@@ -306,6 +306,17 @@ def test_bootstrap_band_blocks_do_not_change_the_draws(monkeypatch):
     assert bootstrap_band(series, [q], replicates=7, seed=2) == whole
 
 
+def test_bootstrap_band_blocks_do_not_change_the_jitter(monkeypatch):
+    # the jitter has its own stream, so it too is the same whatever the block
+    series = np.repeat(generate(GeneratorSpec("walk", 150, seed=8, step=StepModel.uniform(0.6))
+                                ).values, 2)
+    q = _own_null(series, 4)
+    jitter = TiePolicy("jitter", jitter_scale=0.05)
+    whole = bootstrap_band(series, [q], replicates=7, seed=2, policy=jitter)
+    monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
+    assert bootstrap_band(series, [q], replicates=7, seed=2, policy=jitter) == whole
+
+
 def test_bootstrap_band_jitter_gives_a_spread():
     # constant steps make every replicate walk identical; the jitter must
     # differ between replicates, or the band collapses to zero width
