@@ -283,12 +283,6 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     a jitter policy perturbs the series from the jitter key.
     """
     ts = _as_series(series)
-    needed = (max(config.orders) - 1) * config.delay + 1
-    if len(ts) < needed:
-        raise LengthError(
-            f"series of length {len(ts)} is too short for order "
-            f"{max(config.orders)} at delay {config.delay} (needs {needed})"
-        )
     base = np.random.SeedSequence(config.seed, spawn_key=(window_start,))
     null_key, band_key, jitter_key = base.spawn(3)
     values, policy = ts, config.policy
@@ -301,8 +295,8 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     bands = [None] * len(nulls)
     if config.replicates > 0:
         bands = bootstrap_band(
-            ts, [null.distribution for null in nulls], config.replicates, None,
-            band_key, config.delay, config.policy, config.smoothing,
+            ts, [null.distribution for null in nulls], config.replicates, band_key,
+            config.delay, config.policy, config.smoothing,
         )
     runs = []
     for null, band in zip(nulls, bands):

@@ -10,9 +10,8 @@ closed_form_normal_zero_mean   orthant formulas, centered normal steps, n <= 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
 associated_walk                long walk resampled from a series' own steps
-build_nulls                    one realized null per order; an associated
-                               null ranks a single walk, drawn in blocks,
-                               at every order
+build_nulls                    the null builder: a closed form per order,
+                               or one draw per run ranked at every order
 kl_to_null                     divergence of a series from a chosen null
 bootstrap_band                 replicate divergences against the same null
 
@@ -279,22 +278,30 @@ def monte_carlo_distribution(
     Each walk starts at 0 and takes n-1 fresh steps; m >= 100 n! keeps
     the per-pattern standard error below roughly sqrt(p/m). Deterministic
     given the seed. Exact ties (possible under empirical step multisets)
-    rank earlier-index-smaller.
+    rank earlier-index-smaller. This is the one-order case of the draw a
+    parametric null makes in build_nulls.
     """
     _check_order(n)
+    return _monte_carlo_distributions(model, (n,), samples, seed)[n]
+
+
+def _monte_carlo_distributions(model: StepModel, orders, samples: int,
+                               seed) -> dict[int, PatternDistribution]:
+    """The pattern distribution at every order of `samples` independent
+    walks of max(orders) values, drawn from `seed` in blocks of rows; order
+    n counts each walk's leading n values."""
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
-    counts = np.zeros(_FACT[n], dtype=np.int64)
-    remaining = samples
-    while remaining > 0:
-        k = min(_CHUNK // n, remaining)
-        # column-major, so the kernel's loops run down k walks, not along n
-        z = _walks(_sample_steps(model, (k, n - 1), rng), order="F")
-        _, ranks = next(_lag_ranks(z, (n,), 1, False))
-        counts += np.bincount(ranks.ravel(), minlength=_FACT[n])
-        remaining -= k
-    return PatternDistribution(n, counts / samples, "model", samples)
+    top = max(orders)
+    block = _CHUNK // top
+    counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
+    for start in range(0, samples, block):
+        # column-major, so the kernel's loops run down the walks, not along them
+        z = _walks(_sample_steps(model, (min(block, samples - start), top - 1), rng), order="F")
+        for n, ranks in _lag_ranks(z, orders, 1, False):
+            counts[n] += np.bincount(ranks[:, 0], minlength=_FACT[n])
+    return {n: PatternDistribution(n, c / samples, "model", samples) for n, c in counts.items()}
 
 
 # --------------------------------------------------------------------------
@@ -446,10 +453,10 @@ class NullSpec:
     """Which null model to hold a series against.
 
     step None is the associated null: the series' own steps resampled into
-    a walk of walk_length (default max(10^6, 100 N)). A StepModel is a
-    parametric step law, evaluated exactly when closed_form is set (uniform
-    or centered normal steps, n <= 4) and by Monte Carlo with `samples`
-    draws otherwise.
+    a walk of walk_length (default max(10^6, 100 N)), with no closed form.
+    A StepModel is a parametric step law, evaluated exactly when
+    closed_form is set (uniform or centered normal steps, n <= 4) and by
+    Monte Carlo over `samples` walks of the top order otherwise.
     """
 
     step: StepModel | None = None
@@ -460,6 +467,8 @@ class NullSpec:
     def __post_init__(self):
         if self.step is not None and not isinstance(self.step, StepModel):
             raise RangeError(f"a null's step law must be a StepModel, got {self.step!r}")
+        if self.step is None and self.closed_form:
+            raise RangeError("the associated null has no closed form")
         if self.samples < 1:
             raise RangeError("samples must be >= 1")
         if self.walk_length is not None and self.walk_length < 2:
@@ -512,20 +521,34 @@ class NullModel:
 def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]:
     """Realize a NullSpec at several orders, one NullModel per order.
 
-    An associated null draws one walk from `seed` and ranks it at every
-    order in one pass; a parametric null gives each order its own child
-    of `seed`.
+    A closed form is evaluated at each order. Any other null is one draw
+    from `seed`, ranked at every order in one pass: the associated null
+    one walk of the series' resampled steps, a parametric null `samples`
+    walks of max(orders) values, each order counting their leading values.
     """
-    if spec.step is not None:
-        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        return tuple(build_null(series, n, spec, child)
-                     for n, child in zip(orders, base.spawn(len(orders))))
-    values = _as_values(series)
-    length = spec.walk_length or default_walk_length(values.size)
-    dists = _associated_distributions(values, orders, length, seed)
-    model = StepModel.empirical(np.diff(values))
-    return tuple(NullModel(model, n, dists[n], "monte_carlo", dists[n].sample_count,
-                           _seed_int(seed)) for n in orders)
+    if not orders:
+        raise RangeError("need at least one order")
+    for n in orders:
+        _check_order(n)
+    step, method = spec.step, "monte_carlo"
+    # an int seed is recorded here; a derived SeedSequence is recorded upstream
+    recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
+    if step is None:
+        values = _as_values(series)
+        length = spec.walk_length or default_walk_length(values.size)
+        dists = _associated_distributions(values, orders, length, seed)
+        step = StepModel.empirical(np.diff(values))
+    elif spec.closed_form:
+        if step.family == "normal" and step.mu != 0:
+            raise RangeError("closed-form normal nulls require mu = 0")
+        # NullModel rejects a closed form for any other step law
+        dists = {n: closed_form_uniform(n, step.b) if step.family == "uniform_b"
+                 else closed_form_normal_zero_mean(n) for n in orders}
+        method, recorded = "closed_form", None
+    else:
+        dists = _monte_carlo_distributions(step, orders, spec.samples, seed)
+    return tuple(NullModel(step, n, dists[n], method, dists[n].sample_count, recorded)
+                 for n in orders)
 
 
 def _associated_distributions(values: np.ndarray, orders, length: int,
@@ -539,10 +562,6 @@ def _associated_distributions(values: np.ndarray, orders, length: int,
     among them, counted with an earlier block, are skipped.
     """
     steps = _walk_steps(values, length)
-    if not orders:
-        raise RangeError("need at least one order")
-    for n in orders:
-        _check_order(n)
     rng = np.random.default_rng(seed)
     overlap = max(orders) - 1
     counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
@@ -572,25 +591,8 @@ def _associated_distributions(values: np.ndarray, orders, length: int,
 
 
 def build_null(series, n: int, spec: NullSpec, seed=0) -> NullModel:
-    """Realize a NullSpec for a given series and order."""
-    step = spec.step
-    if step is None:
-        return build_nulls(series, (n,), spec, seed)[0]
-    if not spec.closed_form:
-        dist = monte_carlo_distribution(step, n, spec.samples, seed)
-        return NullModel(step, n, dist, "monte_carlo", spec.samples, _seed_int(seed))
-    if step.family == "normal" and step.mu != 0:
-        raise RangeError("closed-form normal nulls require mu = 0")
-    # NullModel rejects a closed form for any other step law
-    dist = (closed_form_uniform(n, step.b) if step.family == "uniform_b"
-            else closed_form_normal_zero_mean(n))
-    return NullModel(step, n, dist, "closed_form", 0, None)
-
-
-def _seed_int(seed) -> int | None:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    return None  # derived SeedSequence; recorded upstream
+    """Realize a NullSpec for a given series at the one order n."""
+    return build_nulls(series, (n,), spec, seed)[0]
 
 
 def kl_to_null(
@@ -627,7 +629,6 @@ def bootstrap_band(
     series,
     nulls: Sequence[PatternDistribution],
     replicates: int = 400,
-    walk_length: int | None = None,
     seed=0,
     d: int = 1,
     policy: TiePolicy | None = None,
@@ -635,11 +636,11 @@ def bootstrap_band(
 ) -> tuple[BandResult, ...]:
     """Spread of the KL-to-null statistic under the series' own step law.
 
-    Draws `replicates` associated walks of walk_length (default: the
-    series length) from `seed` as one (replicates, walk_length) stack,
-    ranks the stack at every null's order in one pass, and scores its rows
-    against that null (the one the series itself is scored against) in
-    one row-wise divergence, smoothed per row as kl_divergence would be.
+    Draws `replicates` associated walks of the series' length from `seed`
+    as one (replicates, length) stack, ranks the stack at every null's
+    order in one pass, and scores its rows against that null (the one the
+    series itself is scored against) in one row-wise divergence, smoothed
+    per row as kl_divergence would be.
     Under a jitter policy the stack is jittered once from the first
     child of `seed`, its own stream, so neither the walks nor the noise
     depend on how many rows are drawn at a time. Takes one null per order
@@ -648,7 +649,7 @@ def bootstrap_band(
     if replicates < 2:
         raise RangeError(f"need at least 2 replicates, got {replicates}")
     values = _as_values(series)
-    length = walk_length or values.size
+    length = values.size
     base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     rng = np.random.default_rng(base)
     # the first child of base, derived without spawning, which would change base

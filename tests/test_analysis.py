@@ -169,6 +169,21 @@ def test_analyze_length_guard():
         analyze(np.arange(4.0), AnalysisConfig(orders=(7,)))
 
 
+@pytest.mark.parametrize("length, orders, delay, needs", [(4, (5,), 1, 5), (6, (3, 4), 2, 7)])
+def test_too_short_names_length_order_and_delay(length, orders, delay, needs):
+    # the message comes from pattern extraction, for a whole series and a window
+    message = (f"series of length {length} is too short for order {max(orders)} "
+               f"at delay {delay} (needs {needs})")
+    config = AnalysisConfig(orders=orders, delay=delay, replicates=0,
+                            null=NullSpec(walk_length=500))
+    with pytest.raises(LengthError) as whole:
+        analyze(np.arange(float(length)), config)
+    assert str(whole.value) == message
+    with pytest.raises(LengthError) as window:
+        windowed_analyze(np.arange(float(length + 3)), WindowSpec(length, 3), config)
+    assert str(window.value) == message
+
+
 def test_config_validation():
     with pytest.raises(RangeError):
         AnalysisConfig(orders=(2,))

@@ -309,3 +309,16 @@ def test_oracle_emit(capsysbinary):
 def test_oracle_order_outside_three_to_five_names_it(n, capsys):
     assert main(["oracle", "--n", n, "--resolution", "4"]) == 3
     assert f"volume oracle supports n in [3, 5], got {n}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["analyze", "window", "nullmodel"])
+def test_associated_null_with_closed_form_is_numerical_error(tmp_path, command, capsys):
+    # --closed-form cannot make an associated-null run non-random, so
+    # --strict without --seed must not get through on it
+    path = _walk_csv(tmp_path)
+    if command == "nullmodel":
+        argv = ["nullmodel", "--family", "associated", "--input", str(path)]
+    else:
+        argv = [command, str(path), "--orders", "3", "--replicates", "0"]
+    assert main([*argv, "--strict", "--closed-form"]) == 3
+    assert "the associated null has no closed form" in capsys.readouterr().err

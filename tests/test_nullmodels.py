@@ -356,12 +356,27 @@ def test_build_nulls_ranks_one_associated_walk_at_every_order():
         assert m.sample_count == 20_000 - (m.order - 1)
 
 
-def test_build_nulls_parametric_children_differ_per_order():
-    spec = NullSpec(StepModel.uniform(0.6), samples=2000)
-    a, b = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
-    assert not np.array_equal(a.distribution.weights, b.distribution.weights)
-    again = build_nulls([0.0, 1.0], (3, 3), spec, seed=4)
-    assert np.array_equal(again[1].distribution.weights, b.distribution.weights)
+def test_build_nulls_parametric_draws_once_at_the_top_order():
+    # one stack of walks of the top order's length: the top order is the
+    # one-order Monte Carlo draw, a lower order counts the same walks'
+    # leading values rather than walks of its own
+    model = StepModel.uniform(0.6)
+    spec = NullSpec(model, samples=2000)
+    low, top = build_nulls([0.0, 1.0], (3, 5), spec, seed=4)
+    alone = monte_carlo_distribution(model, 5, 2000, seed=4)
+    assert top.distribution.weights.tobytes() == alone.weights.tobytes()
+    assert not np.array_equal(low.distribution.weights,
+                              monte_carlo_distribution(model, 3, 2000, seed=4).weights)
+    assert low.sample_count == top.sample_count == 2000
+    again = build_nulls([0.0, 1.0], (3, 5), spec, seed=4)
+    assert np.array_equal(again[0].distribution.weights, low.distribution.weights)
+
+
+def test_associated_null_spec_has_no_closed_form():
+    with pytest.raises(RangeError, match="the associated null has no closed form"):
+        NullSpec(closed_form=True)
+    with pytest.raises(RangeError, match="the associated null has no closed form"):
+        NullSpec(None, 5000, True)
 
 
 def test_null_model_json_shape():
