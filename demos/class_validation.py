@@ -1,7 +1,10 @@
 """Equal-probability classes as a structural check on walk data.
 
 Any walk with i.i.d. steps puts equal probability on certain groups of
-patterns (4 groups at n=3, 14 at n=4, 61 at n=5). Empirical weights from
+patterns (4 groups at n=3, 14 at n=4, 61 at n=5). The n=5 table is valid
+(each group is equiprobable) but not the full partition: three pairs of
+its groups are provably equal, as tests/test_derived_classes.py shows by
+deriving the groups from step exchangeability. Empirical weights from
 a genuine walk should be flat within each group up to sampling noise, so
 the within-class spread doubles as a cheap model check: it shrinks with
 sample size for walks and stays put for anything else.

@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Sequence
@@ -135,17 +136,18 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
     """The column as numpy.loadtxt reads it, or None when the row parser
     must read the file.
 
-    Without quotes or carriage returns, loadtxt splits lines and cells as
-    csv.reader does and accepts a subset of what float() accepts, with the
-    same values. It differs in skipping empty lines and in reading
+    Without quotes or lone carriage returns, loadtxt splits lines and cells
+    as csv.reader does and accepts a subset of what float() accepts, with
+    the same values. It differs in skipping empty lines and in reading
     non-finite cells, so its result stands only when every line up to the
-    last non-whitespace byte gave one finite value.
+    last non-whitespace byte gave one finite value. It stops there, so
+    whitespace-only lines after the last value are never read.
     """
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(codecs.BOM_UTF8)  # as loadtxt reads it
     end = len(data.rstrip())
     rows = data.count(b"\n", 0, end) + 1 - header if end else 0
-    if rows < 1 or b'"' in data or b"\r" in data:
+    if rows < 1 or b'"' in data or data.count(b"\r") != data.count(b"\r\n"):
         return None
     index = column
     if header:  # rows >= 1, so the header line ends in a newline
@@ -160,8 +162,12 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
             index = names.index(column)
     del data  # loadtxt reads the path itself; holding the bytes raises the peak
     try:
-        values = np.loadtxt(path, delimiter=",", usecols=index, comments=None,
-                            skiprows=int(header), ndmin=1, encoding="utf-8-sig")
+        with warnings.catch_warnings():
+            # an empty line before the last value: counted short below
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(path, delimiter=",", usecols=index, comments=None,
+                                skiprows=int(header), max_rows=rows, ndmin=1,
+                                encoding="utf-8-sig")
     except (ValueError, OverflowError):  # a cell, row, column index or byte it rejects
         return None
     if values.size != rows or not np.isfinite(values).all():
@@ -175,71 +181,65 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
     values: list[float] = []
     pending_blank: int | None = None
     index: int | None = column if isinstance(column, int) else None
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        for lineno, row in enumerate(_csv_rows(handle, path), start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                if pending_blank is None:
-                    pending_blank = lineno
-                continue
-            if pending_blank is not None:
-                raise ParseError(f"{path}: line {pending_blank}: blank line mid-series")
-            if header and lineno == 1:
-                if isinstance(column, str):
-                    names = [cell.strip() for cell in row]
-                    if column not in names:
-                        raise ParseError(
-                            f"{path}: line 1: no column named {column!r} "
-                            f"(have {names})"
-                        )
-                    index = names.index(column)
-                continue
-            if index >= len(row):
-                raise ParseError(
-                    f"{path}: line {lineno}: row has {len(row)} cells, "
-                    f"need column {index}"
-                )
-            cell = row[index].strip()
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {lineno}: {cell!r} is not numeric"
-                ) from None
-            if not math.isfinite(value):
-                raise ParseError(f"{path}: line {lineno}: {cell!r} is not finite")
-            values.append(value)
+    for lineno, row in enumerate(_csv_rows(path), start=1):
+        if not row or all(cell.strip() == "" for cell in row):
+            if pending_blank is None:
+                pending_blank = lineno
+            continue
+        if pending_blank is not None:
+            raise ParseError(f"{path}: line {pending_blank}: blank line mid-series")
+        if header and lineno == 1:
+            if isinstance(column, str):
+                names = [cell.strip() for cell in row]
+                if column not in names:
+                    raise ParseError(
+                        f"{path}: line 1: no column named {column!r} "
+                        f"(have {names})"
+                    )
+                index = names.index(column)
+            continue
+        if index >= len(row):
+            raise ParseError(
+                f"{path}: line {lineno}: row has {len(row)} cells, "
+                f"need column {index}"
+            )
+        cell = row[index].strip()
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {lineno}: {cell!r} is not numeric"
+            ) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{path}: line {lineno}: {cell!r} is not finite")
+        values.append(value)
     if not values:
         raise EmptyError(f"{path}: no data rows")
     return values
 
 
-def _csv_rows(handle, path):
-    """csv.reader over the lines of a text handle; a record csv rejects
-    (a cell longer than csv.field_size_limit()) raises ParseError naming
-    its line."""
-    rows = csv.reader(_utf8_lines(handle, path))
+def _csv_rows(path):
+    """csv.reader over the file's lines, its bytes read once and decoded up
+    front (a leading byte-order mark dropped). A byte that is not UTF-8, or
+    a record csv rejects (a cell longer than csv.field_size_limit()),
+    raises ParseError naming its line."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        yield from rows
-    except csv.Error as exc:
-        raise ParseError(f"{path}: line {rows.line_num}: {exc}") from None
-
-
-def _utf8_lines(handle, path):
-    """Yield the lines of a text handle; a byte that is not UTF-8 raises
-    ParseError naming its line."""
-    try:
-        yield from handle
-    except UnicodeDecodeError:
-        with open(path, "rb") as raw:
-            data = raw.read()
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = len(data[: exc.start + 1].splitlines())
+        raise ParseError(
+            f"{path}: line {lineno}: byte {data[exc.start]:#04x} is not UTF-8"
+        ) from None
+    # decoded again a chunk at a time: a StringIO of the whole text would
+    # hold four bytes per character
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
+        rows = csv.reader(lines)
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            lineno = len(data[: exc.start + 1].splitlines())
-            raise ParseError(
-                f"{path}: line {lineno}: byte {data[exc.start]:#04x} is not UTF-8"
-            ) from None
-        raise
+            yield from rows
+        except csv.Error as exc:
+            raise ParseError(f"{path}: line {rows.line_num}: {exc}") from None
 
 
 # --------------------------------------------------------------------------

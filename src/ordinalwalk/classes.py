@@ -1,15 +1,17 @@
 """Pattern equivalence classes of random walks.
 
 Patterns in the same class occur with identical probability in any random
-walk with i.i.d. steps, whatever the step law. The full partitions for
-n = 3, 4, 5 are embedded as data; reverse-complement closure provides the
-coarser two-element grouping that holds at every order and is used as a
-fallback beyond n = 5.
+walk with i.i.d. steps, whatever the step law. The tables for n = 3, 4, 5
+are embedded as data; reverse-complement closure provides the finer
+two-element grouping that holds at every order and is used as a fallback
+beyond n = 5.
 
-The n = 5 table groups {21453, 31254} as a pair: the two are each other's
-reverse-complement, so no walk can separate them, and a 2e7-draw Monte
-Carlo check shows every class here probability-constant to the noise
-floor (spread < 1e-4 at b = 0.65).
+The n = 3 and 4 tables are the full partition. The 61-class n = 5 table
+is valid (each class is equiprobable) but not the full partition: three
+pairs of its classes are provably equal, {14532, 43125} with {21453,
+31254}, {15432, 43215} with {21543, 32154} and {32451, 51243} with
+{43512, 45132}. tests/test_derived_classes.py derives the classes from
+step exchangeability and checks all of this.
 """
 
 from __future__ import annotations
@@ -140,11 +142,13 @@ class EquivalenceClassTable:
 
 @lru_cache(maxsize=None)
 def equivalence_classes(n: int) -> EquivalenceClassTable:
-    """The full equal-probability partition for n in {3, 4, 5}.
+    """The equal-probability class table for n in {3, 4, 5}.
 
     Counts: 4 classes at n = 3, 14 at n = 4, 61 at n = 5 (8 singletons,
-    50 pairs, 3 quadruples). Built and validated once per order; the
-    frozen table is shared by later calls.
+    50 pairs, 3 quadruples). Every class is equiprobable; the n = 3 and 4
+    tables are the full partition, and at n = 5 three pairs of classes are
+    provably equal as well (see the module docstring). Built and validated
+    once per order; the frozen table is shared by later calls.
     """
     table = _TABLES.get(n)
     if table is None:
@@ -159,7 +163,7 @@ def equivalence_classes(n: int) -> EquivalenceClassTable:
 def rc_closure(n: int) -> EquivalenceClassTable:
     """Partition of S_n into reverse-complement orbits (size 1 or 2).
 
-    Sound for any walk but coarser than the full tables: every orbit lies
+    Sound for any walk but finer than the tables: every orbit lies
     inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
     validated once per order, like equivalence_classes.
     """

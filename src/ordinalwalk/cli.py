@@ -264,11 +264,13 @@ def _tie_policy(args) -> TiePolicy:
 def _analysis_config(args) -> AnalysisConfig:
     null = NullSpec(_step(args, args.null), args.walk_length, args.closed_form,
                     args.null_samples)
-    stochastic = not (args.closed_form and args.replicates == 0)
+    policy = _tie_policy(args)
+    # a sampled null, the band and a jitter policy draw from the run seed
+    stochastic = not (null.closed_form and args.replicates == 0) or policy.mode == "jitter"
     return AnalysisConfig(
         orders=args.orders,
         delay=args.delay,
-        policy=_tie_policy(args),
+        policy=policy,
         null=null,
         replicates=args.replicates,
         seed=_seed(args, stochastic),
@@ -324,7 +326,7 @@ def _cmd_nullmodel(args) -> int:
         series = ingest_csv(args.input, args.column, args.header)
     spec = NullSpec(_step(args, args.family), args.walk_length, args.closed_form,
                     args.samples)
-    seed = _seed(args, args.family == "associated" or not args.closed_form)
+    seed = _seed(args, not spec.closed_form)
     model = build_null(series, args.n, spec, seed)
     if args.format == "json":
         payload = (json.dumps(model.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
@@ -375,16 +377,10 @@ def main(argv=None) -> int:
             command.set_defaults(**_load_config(args, command))
             args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, SpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except SpecError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, EmptyError, TieError, LengthError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, EmptyError, TieError, LengthError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except (RangeError, OrderError, OrderMismatchError, SupportError) as exc:

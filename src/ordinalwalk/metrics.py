@@ -116,8 +116,6 @@ def momentum_epsilon(
     """
     if dist_2.order != 2:
         raise OrderMismatchError(f"dist_2 must have order 2, got {dist_2.order}")
-    if dist_n.order < 2:
-        raise OrderMismatchError("dist_n must have order >= 2")
     n = dist_n.order
     if direction == "up":
         return float(dist_n.weights[0]) - float(dist_2.weights[0]) ** (n - 1)

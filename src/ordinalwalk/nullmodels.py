@@ -453,10 +453,14 @@ class NullSpec:
     """Which null model to hold a series against.
 
     step None is the associated null: the series' own steps resampled into
-    a walk of walk_length (default max(10^6, 100 N)), with no closed form.
-    A StepModel is a parametric step law, evaluated exactly when
-    closed_form is set (uniform or centered normal steps, n <= 4) and by
-    Monte Carlo over `samples` walks of the top order otherwise.
+    a walk of walk_length (default max(10^6, 100 N)). A StepModel is a
+    parametric step law, evaluated by Monte Carlo over `samples` walks of
+    the top order, or exactly when closed_form is set.
+
+    This is the one place that decides which nulls have a closed form:
+    uniform steps, and normal steps with mu = 0. The associated null and an
+    empirical step law have none. The closed forms themselves cover n in
+    {3, 4} and raise OrderError at any other order.
     """
 
     step: StepModel | None = None
@@ -467,8 +471,12 @@ class NullSpec:
     def __post_init__(self):
         if self.step is not None and not isinstance(self.step, StepModel):
             raise RangeError(f"a null's step law must be a StepModel, got {self.step!r}")
-        if self.step is None and self.closed_form:
-            raise RangeError("the associated null has no closed form")
+        if self.closed_form:
+            if self.step is None or self.step.family == "empirical":
+                law = "the associated null" if self.step is None else "an empirical step law"
+                raise RangeError(f"{law} has no closed form")
+            if self.step.family == "normal" and self.step.mu != 0:
+                raise RangeError("closed-form normal nulls require mu = 0")
         if self.samples < 1:
             raise RangeError("samples must be >= 1")
         if self.walk_length is not None and self.walk_length < 2:
@@ -495,16 +503,6 @@ class NullModel:
     def __post_init__(self):
         if self.distribution.order != self.order:
             raise RangeError("distribution order does not match the model order")
-        if self.method == "closed_form":
-            legit = self.order <= 4 and (
-                self.step_model.family == "uniform_b"
-                or (self.step_model.family == "normal" and self.step_model.mu == 0)
-            )
-            if not legit:
-                raise RangeError(
-                    "closed_form is only available for uniform_b or centered "
-                    "normal steps at n <= 4"
-                )
 
     def to_json_dict(self) -> dict:
         return {
@@ -539,9 +537,6 @@ def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]
         dists = _associated_distributions(values, orders, length, seed)
         step = StepModel.empirical(np.diff(values))
     elif spec.closed_form:
-        if step.family == "normal" and step.mu != 0:
-            raise RangeError("closed-form normal nulls require mu = 0")
-        # NullModel rejects a closed form for any other step law
         dists = {n: closed_form_uniform(n, step.b) if step.family == "uniform_b"
                  else closed_form_normal_zero_mean(n) for n in orders}
         method, recorded = "closed_form", None

@@ -44,19 +44,16 @@ def _check_order(n: int) -> None:
 
 @dataclass(frozen=True)
 class TimeSeries:
-    """A finite, real-valued series with optional time labels.
+    """A finite, real-valued series.
 
     Parameters
     ----------
     values : array_like
         One-dimensional, nonempty, all values finite. Stored as a
         read-only float64 array.
-    labels : sequence, optional
-        Time identifiers, one per value, strictly increasing.
     """
 
     values: np.ndarray
-    labels: tuple | None = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.float64)
@@ -66,15 +63,6 @@ class TimeSeries:
             raise RangeError("series values must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
-        if self.labels is not None:
-            labels = tuple(self.labels)
-            if len(labels) != arr.size:
-                raise LengthError(
-                    f"got {len(labels)} labels for {arr.size} values"
-                )
-            if any(not a < b for a, b in zip(labels, labels[1:])):
-                raise RangeError("labels must be strictly increasing")
-            object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:
         return int(self.values.size)
