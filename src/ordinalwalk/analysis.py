@@ -291,7 +291,7 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
         values, policy = _apply_jitter(ts.values, policy.jitter_scale, jitter_key), None
     empiricals = empirical_distributions(values, (2,) + config.orders, config.delay, policy)
     dist2 = empiricals[2]
-    nulls = build_nulls(ts, config.orders, config.null, null_key)
+    nulls = build_nulls(ts, config.orders, config.null, null_key, config.delay, config.policy)
     bands = [None] * len(nulls)
     if config.replicates > 0:
         bands = bootstrap_band(

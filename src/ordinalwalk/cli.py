@@ -119,7 +119,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--null", choices=("associated", "uniform", "normal"),
                        default="associated", help="null model kind (default associated)")
         p.add_argument("--walk-length", type=int, dest="walk_length",
-                       help="associated-null walk length (default max(1e6, 100N))")
+                       help="values the associated null draws, in walks of the "
+                            "series' length (default max(1e6, 100N))")
         step_flags(p)
         p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                        dest="closed_form", default=False,
@@ -171,7 +172,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="Monte Carlo draws (default 1e6)")
     p.add_argument("--walk-length", type=int, dest="walk_length",
-                   help="associated-null walk length")
+                   help="values the associated null draws, in series-length walks")
     p.add_argument("--input", help="CSV series (associated family only)")
     column_flags(p)
     p.add_argument("--format", choices=("json", "csv"), default="json", help="default json")

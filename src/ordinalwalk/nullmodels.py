@@ -9,16 +9,17 @@ closed_form_uniform            exact table, uniform steps on [b-1, b], n <= 4
 closed_form_normal_zero_mean   orthant formulas, centered normal steps, n <= 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
-associated_walk                long walk resampled from a series' own steps
+associated_walk                one walk resampled from a series' own steps
 build_nulls                    the null builder: a closed form per order,
                                or one draw per run ranked at every order
 kl_to_null                     divergence of a series from a chosen null
 bootstrap_band                 replicate divergences against the same null
 
-An analysis run draws one associated null per series and seed, ranks it
-at every order at once, and scores both the series (kl_to_model) and
-every bootstrap replicate against it, so the band measures replicate
-noise around the very null the series is held to.
+One sampler draws every walk. The associated null and the bootstrap band
+are two reductions of one draw, walks of the series' length ranked as the
+series is, and an analysis run scores both the series (kl_to_model) and
+every replicate against that null, so the band measures replicate noise
+around the very null the series is held to.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
 through the step sign flip, which maps b to 1-b and every pattern to its
@@ -54,12 +55,13 @@ from .patterns import (
     TimeSeries,
     _as_values,
     _check_order,
+    _check_span,
     _lag_ranks,
+    _row_counts,
     _symmetry_ranks,
     empirical_distribution,
     lex_rank,
     lex_unrank,
-    pattern_counts,
 )
 
 # --------------------------------------------------------------------------
@@ -262,12 +264,41 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 
 
 # --------------------------------------------------------------------------
-# Monte Carlo
+# the walk sampler, and Monte Carlo
 # --------------------------------------------------------------------------
 
-#: walk values drawn and ranked at a time, which bounds the memory of
-#: associated, Monte Carlo and bootstrap draws; the draws do not depend on it
+#: walk values drawn and ranked at a time (one whole walk if it is longer),
+#: which bounds the memory of every sampled null and band; the draws do
+#: not depend on it
 _CHUNK = 1 << 16
+
+
+def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, seed,
+                   policy: TiePolicy | None = None):
+    """Rank `rows` independent walks of `length` values stepping by model.
+
+    The walks come from `seed` in blocks of whole walks of at most _CHUNK
+    values (or one walk); a jitter policy's noise comes from the first
+    child of `seed`. Yields each block's _lag_ranks at delay d with stable
+    ties, as a strict rule binds only the series; reduce each before resuming.
+    """
+    _check_span(length, orders, d)
+    rng = np.random.default_rng(seed)
+    jitter = policy is not None and policy.mode == "jitter"
+    if jitter:
+        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # the first child of base, derived without spawning, which would change base
+        noise = np.random.default_rng(np.random.SeedSequence(
+            base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
+    block = max(1, _CHUNK // length)
+    for start in range(0, rows, block):
+        # column-major, so the kernel's loops run down the walks, not along them
+        z = _walks(_sample_steps(model, (min(block, rows - start), length - 1), rng), order="F")
+        if not np.isfinite(z[:, -1]).all():  # a sum that leaves the finite never returns
+            raise RangeError("series values must be finite")  # as TimeSeries says
+        if jitter:
+            z += noise.normal(0.0, policy.jitter_scale, z.shape)
+        yield _lag_ranks(z, orders, d, False)
 
 
 def monte_carlo_distribution(
@@ -282,26 +313,9 @@ def monte_carlo_distribution(
     parametric null makes in build_nulls.
     """
     _check_order(n)
-    return _monte_carlo_distributions(model, (n,), samples, seed)[n]
-
-
-def _monte_carlo_distributions(model: StepModel, orders, samples: int,
-                               seed) -> dict[int, PatternDistribution]:
-    """The pattern distribution at every order of `samples` independent
-    walks of max(orders) values, drawn from `seed` in blocks of rows; order
-    n counts each walk's leading n values."""
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
-    rng = np.random.default_rng(seed)
-    top = max(orders)
-    block = _CHUNK // top
-    counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
-    for start in range(0, samples, block):
-        # column-major, so the kernel's loops run down the walks, not along them
-        z = _walks(_sample_steps(model, (min(block, samples - start), top - 1), rng), order="F")
-        for n, ranks in _lag_ranks(z, orders, 1, False):
-            counts[n] += np.bincount(ranks[:, 0], minlength=_FACT[n])
-    return {n: PatternDistribution(n, c / samples, "model", samples) for n, c in counts.items()}
+    return build_null((), n, NullSpec(model, samples=samples), seed).distribution
 
 
 # --------------------------------------------------------------------------
@@ -418,24 +432,15 @@ def volume_oracle(
 # --------------------------------------------------------------------------
 
 def default_walk_length(n_obs: int) -> int:
-    """Walk length used for associated nulls: max(10^6, 100 N)."""
+    """Values an associated null draws, in series-length walks: max(10^6, 100 N)."""
     return max(1_000_000, 100 * n_obs)
 
 
-def _walk_steps(values: np.ndarray, length: int) -> np.ndarray:
-    """The first differences of values, to resample into a walk of length."""
+def _own_steps(values: np.ndarray) -> StepModel:
+    """The step law of a series: its first differences, resampled."""
     if values.size < 2:
         raise LengthError("need at least two observations to extract steps")
-    if length < 2:
-        raise LengthError(f"walk length must be >= 2, got {length}")
-    return np.diff(values)
-
-
-def _resampled_walks(values: np.ndarray, shape, rng) -> np.ndarray:
-    """Walks from 0 whose steps are resampled (with replacement) from the
-    first differences of values; shape[-1] is the walk length."""
-    steps = _walk_steps(values, shape[-1])
-    return _walks(rng.choice(steps, size=shape[:-1] + (shape[-1] - 1,)))
+    return StepModel.empirical(np.diff(values))
 
 
 def associated_walk(series, length: int, seed=0) -> TimeSeries:
@@ -444,8 +449,10 @@ def associated_walk(series, length: int, seed=0) -> TimeSeries:
 
     Starts at 0; the output has exactly `length` values.
     """
-    rng = np.random.default_rng(seed)
-    return TimeSeries(_resampled_walks(_as_values(series), (length,), rng))
+    step = _own_steps(_as_values(series))
+    if length < 2:
+        raise LengthError(f"walk length must be >= 2, got {length}")
+    return TimeSeries(_walks(_sample_steps(step, (length - 1,), np.random.default_rng(seed))))
 
 
 @dataclass(frozen=True)
@@ -453,9 +460,9 @@ class NullSpec:
     """Which null model to hold a series against.
 
     step None is the associated null: the series' own steps resampled into
-    a walk of walk_length (default max(10^6, 100 N)). A StepModel is a
-    parametric step law, evaluated by Monte Carlo over `samples` walks of
-    the top order, or exactly when closed_form is set.
+    ceil(walk_length / N) walks of its length N, walk_length max(10^6, 100 N)
+    by default. A StepModel is a parametric step law, evaluated by Monte
+    Carlo over `samples` walks of the top order, or exactly when closed_form.
 
     This is the one place that decides which nulls have a closed form:
     uniform steps, and normal steps with mu = 0. The associated null and an
@@ -516,13 +523,16 @@ class NullModel:
         }
 
 
-def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]:
+def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
+                policy: TiePolicy | None = None) -> tuple[NullModel, ...]:
     """Realize a NullSpec at several orders, one NullModel per order.
 
     A closed form is evaluated at each order. Any other null is one draw
-    from `seed`, ranked at every order in one pass: the associated null
-    one walk of the series' resampled steps, a parametric null `samples`
-    walks of max(orders) values, each order counting their leading values.
+    from `seed`, ranked at every order in one pass: the associated null is
+    the band's draw (walks as long as the series or the top order's span),
+    every window ranked as the series is, at delay d and tie policy; a
+    parametric null is `samples` walks of max(orders) values, each order
+    counting their leading values, at delay 1 with no jitter.
     """
     if not orders:
         raise RangeError("need at least one order")
@@ -531,63 +541,33 @@ def build_nulls(series, orders, spec: NullSpec, seed=0) -> tuple[NullModel, ...]
     step, method = spec.step, "monte_carlo"
     # an int seed is recorded here; a derived SeedSequence is recorded upstream
     recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
-    if step is None:
-        values = _as_values(series)
-        length = spec.walk_length or default_walk_length(values.size)
-        dists = _associated_distributions(values, orders, length, seed)
-        step = StepModel.empirical(np.diff(values))
-    elif spec.closed_form:
+    if spec.closed_form:
         dists = {n: closed_form_uniform(n, step.b) if step.family == "uniform_b"
                  else closed_form_normal_zero_mean(n) for n in orders}
         method, recorded = "closed_form", None
     else:
-        dists = _monte_carlo_distributions(step, orders, spec.samples, seed)
+        if step is None:  # every window of the band's draw, ranked like the series
+            values = _as_values(series)
+            step = _own_steps(values)
+            length = max(values.size, (max(orders) - 1) * d + 1)
+            rows = -(-(spec.walk_length or default_walk_length(values.size)) // length)
+            windows = slice(None)
+        else:  # the step law itself: each walk's leading window, at delay 1 unjittered
+            rows, length, d, policy, windows = spec.samples, max(orders), 1, None, 0
+        counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
+        for block in _sampled_ranks(step, rows, length, orders, d, seed, policy):
+            for n, ranks in block:
+                counts[n] += np.bincount(ranks[:, windows].ravel("K"), minlength=_FACT[n])
+        dists = {n: PatternDistribution(n, c / c.sum(), "model", int(c.sum()))
+                 for n, c in counts.items()}
     return tuple(NullModel(step, n, dists[n], method, dists[n].sample_count, recorded)
                  for n in orders)
 
 
-def _associated_distributions(values: np.ndarray, orders, length: int,
-                              seed) -> dict[int, PatternDistribution]:
-    """The pattern distribution at every order of associated_walk(values,
-    length, seed), drawn and ranked _CHUNK steps at a time.
-
-    Each block's cumsum starts from the walk's last value, so its sums are
-    those of one cumsum over the whole walk. Each block is ranked behind
-    the walk's last (max order - 1) values, and the windows that lie wholly
-    among them, counted with an earlier block, are skipped.
-    """
-    steps = _walk_steps(values, length)
-    rng = np.random.default_rng(seed)
-    overlap = max(orders) - 1
-    counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
-    # one buffer for every block: the values kept from the walk so far, then
-    # the block's; fresh arrays per block cost more in page faults than work
-    buf = np.zeros(overlap + _CHUNK)
-    kept, counted = 1, 0  # leading values of buf in use; how many were ranked
-    for drawn in range(1, length, _CHUNK):
-        z = buf[:kept + min(_CHUNK, length - drawn)]
-        # the draws of rng.choice(steps, size), written in place
-        np.take(steps, rng.integers(0, steps.size, z.size - kept), out=z[kept:])
-        np.cumsum(z[kept - 1:], out=z[kept - 1:])
-        if not np.isfinite(z[-1]):  # a sum that leaves the finite never comes back
-            raise RangeError("series values must be finite")  # as TimeSeries says
-        if z.size <= overlap:  # too short to rank at the top order: keep all of it
-            kept = z.size
-            continue
-        for n, ranks in _lag_ranks(z, orders, 1, False):
-            counts[n] += np.bincount(ranks[max(counted - n + 1, 0):], minlength=_FACT[n])
-        buf[:overlap] = z[-overlap:]
-        kept = counted = overlap
-    if not counted:
-        raise LengthError(f"series of length {length} is too short for order "
-                          f"{overlap + 1} at delay 1 (needs {overlap + 1})")
-    return {n: PatternDistribution(n, c / (length - n + 1), "model", length - n + 1)
-            for n, c in counts.items()}
-
-
-def build_null(series, n: int, spec: NullSpec, seed=0) -> NullModel:
+def build_null(series, n: int, spec: NullSpec, seed=0, d: int = 1,
+               policy: TiePolicy | None = None) -> NullModel:
     """Realize a NullSpec for a given series at the one order n."""
-    return build_nulls(series, (n,), spec, seed)[0]
+    return build_nulls(series, (n,), spec, seed, d, policy)[0]
 
 
 def kl_to_null(
@@ -602,11 +582,11 @@ def kl_to_null(
     """Normalized KL divergence of a series' patterns from a null model.
 
     model_spec is a NullSpec (NullSpec(step) simulates a step law with the
-    default sample budget), or None for the associated-walk null.
-    Pseudocount smoothing kicks in only if the sampled null misses a
+    default sample budget), or None for the associated null, ranked like
+    the series. Pseudocount smoothing kicks in only if the sampled null misses a
     pattern the series realizes.
     """
-    null_dist = build_null(series, n, model_spec or NullSpec(), seed).distribution
+    null_dist = build_null(series, n, model_spec or NullSpec(), seed, d, policy).distribution
     p = empirical_distribution(series, n, d, policy)
     return kl_divergence(p, null_dist, smoothing)
 
@@ -631,36 +611,24 @@ def bootstrap_band(
 ) -> tuple[BandResult, ...]:
     """Spread of the KL-to-null statistic under the series' own step law.
 
-    Draws `replicates` associated walks of the series' length from `seed`
-    as one (replicates, length) stack, ranks the stack at every null's
-    order in one pass, and scores its rows against that null (the one the
-    series itself is scored against) in one row-wise divergence, smoothed
-    per row as kl_divergence would be.
-    Under a jitter policy the stack is jittered once from the first
-    child of `seed`, its own stream, so neither the walks nor the noise
-    depend on how many rows are drawn at a time. Takes one null per order
-    and returns one BandResult per null; bit-identical across runs.
+    Draws `replicates` walks of the series' length from `seed`, as the
+    associated null does, ranks them at every null's order as the null is
+    ranked, and scores each row against that null (the one the series
+    itself is scored against) in one row-wise divergence, smoothed per row
+    as kl_divergence would be. Takes one null per order and returns one
+    BandResult per null; bit-identical across runs.
     """
     if replicates < 2:
         raise RangeError(f"need at least 2 replicates, got {replicates}")
     values = _as_values(series)
     length = values.size
-    base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    rng = np.random.default_rng(base)
-    # the first child of base, derived without spawning, which would change base
-    noise = np.random.default_rng(np.random.SeedSequence(
-        base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
-    jitter = policy is not None and policy.mode == "jitter"
     null_of = {q.order: q for q in nulls}
     draws: dict[int, list[np.ndarray]] = {n: [] for n in null_of}
-    block = max(1, _CHUNK // length)
-    for start in range(0, replicates, block):
-        stack = _resampled_walks(values, (min(block, replicates - start), length), rng)
-        if jitter:
-            stack += noise.normal(0.0, policy.jitter_scale, stack.shape)
-        counts = pattern_counts(stack, null_of, d, None if jitter else policy)
-        for n, rows in counts.items():
-            draws[n].append(_kl_rows(rows / (length - (n - 1) * d), null_of[n], smoothing))
+    for block in _sampled_ranks(_own_steps(values), replicates, length, sorted(null_of), d,
+                                seed, policy):
+        for n, ranks in block:
+            rows = _row_counts(ranks, n) / (length - (n - 1) * d)
+            draws[n].append(_kl_rows(rows, null_of[n], smoothing))
     return tuple(
         BandResult(float(np.mean(kl)), float(np.std(kl, ddof=1)), tuple(kl.tolist()))
         for kl in (np.concatenate(draws[q.order]) for q in nulls)

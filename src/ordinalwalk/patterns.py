@@ -319,6 +319,17 @@ def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
             yield m + 1, rank
 
 
+def _check_span(length: int, orders, d: int) -> None:
+    """Raise unless d >= 1 and `length` values hold a top-order window."""
+    if d < 1:
+        raise RangeError(f"delay must be >= 1, got {d}")
+    n = max(orders)
+    span = (n - 1) * d + 1
+    if length < span:
+        raise LengthError(f"series of length {length} is too short for order {n} "
+                          f"at delay {d} (needs {span})")
+
+
 def _prepared(series, orders, d: int, policy: TiePolicy | None):
     """Validated (and, under jitter, perturbed) values for _lag_ranks."""
     policy = policy or TiePolicy()
@@ -326,16 +337,8 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None):
         raise RangeError("need at least one order")
     for n in orders:
         _check_order(n)
-    if d < 1:
-        raise RangeError(f"delay must be >= 1, got {d}")
     values = _as_values(series)
-    n = max(orders)
-    span = (n - 1) * d + 1
-    if values.shape[-1] < span:
-        raise LengthError(
-            f"series of length {values.shape[-1]} is too short for order {n} "
-            f"at delay {d} (needs {span})"
-        )
+    _check_span(values.shape[-1], orders, d)
     if policy.mode == "jitter":
         values = _apply_jitter(values, policy.jitter_scale, policy.seed)
     return values, policy.mode == "strict"
@@ -354,16 +357,17 @@ def pattern_counts(
     """
     orders = sorted(set(int(n) for n in orders))
     values, strict = _prepared(series, orders, d, policy)
-    out = {}
-    for n, ranks in _lag_ranks(values, orders, d, strict):
-        if ranks.ndim == 1:
-            out[n] = np.bincount(ranks, minlength=_FACT[n])
-        else:
-            rows = ranks.shape[0]
-            offset = np.arange(rows, dtype=np.intp)[:, None] * _FACT[n]
-            flat = np.bincount((ranks + offset).ravel(), minlength=rows * _FACT[n])
-            out[n] = flat.reshape(rows, _FACT[n])
-    return out
+    return {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(values, orders, d, strict)}
+
+
+def _row_counts(ranks: np.ndarray, n: int) -> np.ndarray:
+    """Counts per lex rank of order-n ranks, (n!,) or (rows, n!) for a stack."""
+    if ranks.ndim == 1:
+        return np.bincount(ranks, minlength=_FACT[n])
+    rows = ranks.shape[0]
+    offset = np.arange(rows, dtype=np.intp)[:, None] * _FACT[n]
+    flat = np.bincount((ranks + offset).ravel("K"), minlength=rows * _FACT[n])
+    return flat.reshape(rows, _FACT[n])
 
 
 def standardize(window: Sequence[float], policy: TiePolicy | None = None) -> OrdinalPattern:

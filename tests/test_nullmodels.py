@@ -340,7 +340,8 @@ def test_build_null_associated_uses_series_steps():
     series = generate(GeneratorSpec("walk", 400, seed=2, step=StepModel.uniform(0.8)))
     model = build_null(series, 3, NullSpec(walk_length=50_000), seed=5)
     assert model.method == "monte_carlo"
-    assert model.sample_count == 50_000 - 2
+    # ceil(50 000 / 400) = 125 walks of the series' 400 values, 398 windows each
+    assert model.sample_count == 125 * (400 - 2)
     # a b = 0.8 walk's resampled null leans heavily on ascents
     assert model.distribution.weights[0] > 0.5
 
@@ -353,7 +354,8 @@ def test_build_nulls_ranks_one_associated_walk_at_every_order():
     for m in nulls:
         single = build_null(series, m.order, spec, seed=5)
         assert np.array_equal(m.distribution.weights, single.distribution.weights)
-        assert m.sample_count == 20_000 - (m.order - 1)
+        # ceil(20 000 / 300) = 67 walks of the series' 300 values
+        assert m.sample_count == 67 * (300 - (m.order - 1))
 
 
 def test_build_nulls_parametric_draws_once_at_the_top_order():

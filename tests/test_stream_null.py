@@ -1,7 +1,7 @@
-"""The associated null is drawn and ranked in blocks of nullmodels._CHUNK
-steps; these tests hold the streamed counts to the one-shot walk
-(`associated_walk` ranked by `empirical_distributions`) bit for bit, and
-bound the memory the stream holds."""
+"""The associated null is drawn and ranked in blocks of whole walks of at
+most nullmodels._CHUNK values; these tests hold its counts bit for bit to
+those of one one-shot (rows, length) stack of the series' resampled steps,
+ranked by pattern_counts, and bound the memory the blocks hold."""
 
 import tracemalloc
 from unittest.mock import patch
@@ -17,10 +17,10 @@ from ordinalwalk import (
     NullSpec,
     RangeError,
     StepModel,
-    associated_walk,
+    TiePolicy,
     build_nulls,
-    empirical_distributions,
     monte_carlo_distribution,
+    pattern_counts,
 )
 
 
@@ -33,42 +33,59 @@ def _outcome(call):
     return [(d.order, d.weights.tobytes(), d.sample_count) for d in dists]
 
 
-def _streamed(values, orders, length, seed):
+def _streamed(values, orders, length, seed, d=1, policy=None):
+    spec = NullSpec(walk_length=length)
     return _outcome(lambda: [null.distribution for null in
-                             build_nulls(values, orders, NullSpec(walk_length=length), seed)])
+                             build_nulls(values, orders, spec, seed, d, policy)])
 
 
-def _one_shot(values, orders, length, seed):
-    return _outcome(lambda: [empirical_distributions(
-        associated_walk(values, length, seed), orders)[n] for n in orders])
+def _one_shot(values, orders, length, seed, d=1, scale=0.0):
+    """The null drawn whole: ceil(length / walk) walks of the series'
+    length (or the top order's span, if longer), every window counted with
+    stable ties, jittered from the seed's first child when scale > 0."""
+    values = np.asarray(values, dtype=np.float64)
+    walk = max(values.size, (max(orders) - 1) * d + 1)
+    rows = -(-length // walk)
+    stack = np.zeros((rows, walk))
+    steps = np.random.default_rng(seed).choice(np.diff(values), size=(rows, walk - 1))
+    np.cumsum(steps, axis=1, out=stack[:, 1:])
+    if scale:
+        stack += np.random.default_rng(seed.spawn(1)[0]).normal(0.0, scale, stack.shape)
+    counts = pattern_counts(stack, orders, d)
+    return [(n, (c.sum(axis=0) / c.sum()).tobytes(), int(c.sum()))
+            for n, c in ((n, counts[n]) for n in orders)]
 
 
 @st.composite
 def _cases(draw):
     size = draw(st.integers(2, 40))
-    if draw(st.booleans()):  # few distinct steps, so the walk ties often
+    if draw(st.booleans()):  # few distinct steps, so the walks tie often
         steps = draw(st.lists(st.integers(-2, 2), min_size=size - 1, max_size=size - 1))
         values = np.concatenate(([0.0], np.cumsum(steps, dtype=np.float64)))
     else:
         values = np.array(draw(st.lists(
             st.floats(-1e3, 1e3, allow_nan=False), min_size=size, max_size=size)))
-    orders = tuple(draw(st.sets(st.integers(3, 7), min_size=1)))
-    chunk = draw(st.integers(1, 12))
-    # the walk's length - 1 steps span 1 to 4 blocks, so 0 to 3 boundaries
-    blocks = draw(st.integers(1, 4))
-    length = 1 + draw(st.integers((blocks - 1) * chunk + 1, blocks * chunk))
-    return values, orders, chunk, length, draw(st.integers(0, 2 ** 32))
+    orders = tuple(sorted(draw(st.sets(st.integers(3, 7), min_size=1))))
+    d = draw(st.integers(1, 3))
+    mode = draw(st.sampled_from(["stable", "strict", "jitter"]))
+    scale = 0.3 if mode == "jitter" else 0.0
+    # chunks under one walk draw a walk a block; walks may be shorter
+    # than the top order's span, and then take that span instead
+    chunk = draw(st.integers(1, 200))
+    length = draw(st.integers(2, 400))
+    seed = np.random.SeedSequence(draw(st.integers(0, 2 ** 32)),
+                                  spawn_key=(draw(st.integers(0, 9)),))
+    return values, orders, d, mode, scale, chunk, length, seed
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(_cases())
-def test_streamed_null_matches_the_one_shot_walk(case):
-    # chunk sizes under max order - 1 leave blocks (and a last block) too
-    # short to rank alone; walks under max order raise the one-shot error
-    values, orders, chunk, length, seed = case
+def test_blocked_null_matches_the_one_shot_stack(case):
+    values, orders, d, mode, scale, chunk, length, seed = case
+    policy = TiePolicy(mode, jitter_scale=scale)
     with patch.object(nullmodels, "_CHUNK", chunk):
-        got = _streamed(values, orders, length, seed)
-    assert got == _one_shot(values, orders, length, seed)
+        got = _streamed(values, orders, length, seed, d, policy)
+    assert got == _one_shot(values, orders, length, seed, d, scale)
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 1000, 1 << 16])
@@ -78,19 +95,19 @@ def test_streamed_null_on_a_long_tied_walk(chunk):
     with patch.object(nullmodels, "_CHUNK", chunk):
         got = _streamed(values, orders, 5003, np.random.SeedSequence(7, spawn_key=(2,)))
     assert got == _one_shot(values, orders, 5003, np.random.SeedSequence(7, spawn_key=(2,)))
-    assert [count for _, _, count in got] == [5001, 4999, 4997]
+    # ceil(5003 / 300) = 17 walks of 300 values, 300 - n + 1 windows each
+    assert [count for _, _, count in got] == [17 * 298, 17 * 296, 17 * 294]
 
 
 def test_streamed_null_keeps_the_one_shot_errors():
     with patch.object(nullmodels, "_CHUNK", 4):
         # a single observation has no steps
-        assert _streamed([1.0], (3,), 10, 0) == _one_shot([1.0], (3,), 10, 0)
-        assert _streamed([1.0], (3,), 10, 0)[0] is LengthError
-        # steps of 9e307 overflow the walk a few blocks in
-        steep = [0.0, 9e307, 0.0]
+        assert _streamed([1.0], (3,), 10, 0) == (
+            LengthError, "need at least two observations to extract steps")
+        # steps of 9e307 overflow some of the walks
         with np.errstate(over="ignore", invalid="ignore"):
-            got, want = _streamed(steep, (3,), 200, 1), _one_shot(steep, (3,), 200, 1)
-        assert got == want == (RangeError, "series values must be finite")
+            got = _streamed([0.0, 9e307, 0.0], (3,), 200, 1)
+        assert got == (RangeError, "series values must be finite")
 
 
 @pytest.mark.parametrize("model", [StepModel.uniform(0.6), StepModel.normal(0.1, 1.0),
@@ -104,8 +121,9 @@ def test_monte_carlo_does_not_depend_on_the_block(model):
 
 
 def test_associated_null_memory_on_a_long_series():
-    # the default walk of a 1e5-point series has 1e7 steps; held whole it
-    # takes over 200 MiB, streamed a few blocks of _CHUNK values
+    # the default null of a 1e5-point series draws 1e7 values, 100 walks
+    # of the series' length; held whole they take over 200 MiB, drawn a
+    # walk at a time a few MiB
     values = np.cumsum(np.random.default_rng(5).normal(size=100_000))
     tracemalloc.start()
     try:
@@ -113,5 +131,5 @@ def test_associated_null_memory_on_a_long_series():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert [null.sample_count for null in nulls] == [10 ** 7 - 3, 10 ** 7 - 4]
+    assert [null.sample_count for null in nulls] == [100 * (10 ** 5 - 3), 100 * (10 ** 5 - 4)]
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
