@@ -1,7 +1,7 @@
 """Three routes to one null distribution, and the momentum cancellation.
 
 A drifted walk with steps uniform on [b-1, b] has a pattern distribution
-known in closed form for n <= 4. The same distribution can be estimated
+known in closed form for n = 3, 4. The same distribution can be estimated
 by Monte Carlo or by deterministic quadrature over the step cube; all
 three agree, which is the point of keeping all three around.
 """

@@ -29,7 +29,7 @@ from typing import Literal, Sequence
 import numpy as np
 
 from .classes import equivalence_classes, rc_closure
-from .errors import EmptyError, LengthError, ParseError, RangeError
+from .errors import EmptyError, LengthError, OrderError, ParseError, RangeError
 from .metrics import (
     MetricReport,
     g_statistic,
@@ -49,19 +49,17 @@ from .patterns import (
     TiePolicy,
     TimeSeries,
     _apply_jitter,
-    _check_order,
+    _check_orders,
     empirical_distributions,
     lex_unrank,
 )
-
-_MIN_ORDER = 3
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Knobs for one analysis run.
 
-    orders are the pattern lengths to report on (each in [3, 7]); delay,
+    orders are the pattern lengths to report on (3..MAX_ORDER); delay,
     tie policy, and smoothing feed pattern extraction and divergence;
     null picks the reference model; replicates sets the bootstrap size
     (0 disables the band). A jitter policy's noise is drawn from the run's
@@ -77,12 +75,9 @@ class AnalysisConfig:
     smoothing: float = 1.0
 
     def __post_init__(self):
-        orders = tuple(sorted(set(int(n) for n in self.orders)))
-        if not orders:
-            raise RangeError("need at least one order")
-        if orders[0] < _MIN_ORDER:
-            raise RangeError(f"analysis needs order >= {_MIN_ORDER}, got {orders[0]}")
-        _check_order(orders[-1])
+        orders = tuple(_check_orders(self.orders))
+        if orders[0] < 3:  # order 2 has no class table; it serves the momentum metrics
+            raise OrderError(f"analysis needs order >= 3, got {orders[0]}")
         object.__setattr__(self, "orders", orders)
         if self.policy is not None and self.policy.mode == "jitter" and self.policy.seed:
             raise RangeError("analysis jitters from the run seed; leave the policy's seed at 0")
@@ -181,6 +176,7 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
     values: list[float] = []
     pending_blank: int | None = None
     index: int | None = column if isinstance(column, int) else None
+    limit = csv.field_size_limit()  # a bad cell longer than this is not quoted
     for lineno, row in enumerate(_csv_rows(path), start=1):
         if not row or all(cell.strip() == "" for cell in row):
             if pending_blank is None:
@@ -207,11 +203,12 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
         try:
             value = float(cell)
         except ValueError:
-            raise ParseError(
-                f"{path}: line {lineno}: {cell!r} is not numeric"
-            ) from None
-        if not math.isfinite(value):
-            raise ParseError(f"{path}: line {lineno}: {cell!r} is not finite")
+            value = None
+        if value is None or not math.isfinite(value):
+            if len(cell) > limit:  # too long to quote: csv's own message
+                raise ParseError(f"{path}: line {lineno}: field larger than field limit ({limit})")
+            problem = "numeric" if value is None else "finite"
+            raise ParseError(f"{path}: line {lineno}: {cell!r} is not {problem}")
         values.append(value)
     if not values:
         raise EmptyError(f"{path}: no data rows")
@@ -220,9 +217,9 @@ def _parse_rows(path, column: int | str, header: bool) -> list[float]:
 
 def _csv_rows(path):
     """csv.reader over the file's lines, its bytes read once and decoded up
-    front (a leading byte-order mark dropped). A byte that is not UTF-8, or
-    a record csv rejects (a cell longer than csv.field_size_limit()),
-    raises ParseError naming its line."""
+    front (a leading byte-order mark dropped), with cells as long as the file.
+    A byte that is not UTF-8, or a record csv rejects, raises ParseError
+    naming its line."""
     with open(path, "rb") as handle:
         data = handle.read()
     try:
@@ -236,10 +233,13 @@ def _csv_rows(path):
     # hold four bytes per character
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="") as lines:
         rows = csv.reader(lines)
+        limit = csv.field_size_limit(len(data))  # no cell is longer than the file
         try:
             yield from rows
         except csv.Error as exc:
             raise ParseError(f"{path}: line {rows.line_num}: {exc}") from None
+        finally:
+            csv.field_size_limit(limit)
 
 
 # --------------------------------------------------------------------------

@@ -25,9 +25,9 @@ import numpy as np
 from .errors import OrderError, OrderMismatchError
 from .patterns import (
     _FACT,
-    MAX_ORDER,
     OrdinalPattern,
     PatternDistribution,
+    _check_order,
     _symmetry_ranks,
     lex_unrank,
 )
@@ -102,8 +102,7 @@ class EquivalenceClassTable:
 
     def __post_init__(self):
         n = self.order
-        if not 2 <= n <= MAX_ORDER:
-            raise OrderError(f"class tables support orders 2..{MAX_ORDER}, got {n}")
+        _check_order(n)
         groups = tuple(tuple(sorted(int(r) for r in g)) for g in self.classes)
         groups = tuple(sorted(groups))
         object.__setattr__(self, "classes", groups)
@@ -152,7 +151,7 @@ def equivalence_classes(n: int) -> EquivalenceClassTable:
     """
     table = _TABLES.get(n)
     if table is None:
-        raise OrderError(f"class tables exist for n in (3, 4, 5), got {n}")
+        raise OrderError(f"class tables exist for n in {tuple(_TABLES)}, got {n}")
     groups = tuple(
         tuple(OrdinalPattern.from_string(s).rank for s in g) for g in table
     )
@@ -167,8 +166,7 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
     validated once per order, like equivalence_classes.
     """
-    if not 2 <= n <= MAX_ORDER:
-        raise OrderError(f"rc closure supports orders 2..{MAX_ORDER}, got {n}")
+    _check_order(n)  # before _symmetry_ranks, whose tables stop at MAX_ORDER
     partners = _symmetry_ranks(n, "reverse_complement").tolist()
     groups = tuple((r,) if p == r else (r, p) for r, p in enumerate(partners) if r <= p)
     return EquivalenceClassTable(n, groups, "rc_closure")

@@ -21,8 +21,8 @@ class RangeError(OrdinalWalkError):
     """A numeric argument is outside its admissible range."""
 
 
-class OrderError(OrdinalWalkError):
-    """The pattern order n is unsupported for the requested operation."""
+class OrderError(RangeError):
+    """An unsupported pattern order; a RangeError, so the CLI exits 3 on it."""
 
 
 class OrderMismatchError(OrdinalWalkError):

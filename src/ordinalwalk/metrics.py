@@ -130,7 +130,7 @@ class MetricReport:
 
     model and seed describe the null model used for kl_to_model and the
     band fields; classes_source says which class table backed g_statistic
-    ("reference" for n <= 5, "rc_closure" beyond).
+    ("reference" at the table orders 3..5, "rc_closure" at 6 and 7).
     """
 
     n: int

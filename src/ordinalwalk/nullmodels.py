@@ -5,8 +5,8 @@ Z = (0, Y1, Y1+Y2, ...) distributes its ordinal patterns. Three routes to
 that distribution are provided, plus the data-driven bootstrap built on
 resampled steps:
 
-closed_form_uniform            exact table, uniform steps on [b-1, b], n <= 4
-closed_form_normal_zero_mean   orthant formulas, centered normal steps, n <= 4
+closed_form_uniform            exact table, uniform steps on [b-1, b], n = 3, 4
+closed_form_normal_zero_mean   orthant formulas, centered normal steps, n = 3, 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
 associated_walk                one walk resampled from a series' own steps
@@ -54,7 +54,7 @@ from .patterns import (
     TiePolicy,
     TimeSeries,
     _as_values,
-    _check_order,
+    _check_orders,
     _check_span,
     _lag_ranks,
     _row_counts,
@@ -221,8 +221,8 @@ def closed_form_uniform(n: int, b: float) -> PatternDistribution:
     the reflection P_b(pi) = P_{1-b}(complement(pi)). The monotone
     patterns get exactly b^(n-1) and (1-b)^(n-1).
     """
-    if n not in (3, 4):
-        raise OrderError(f"closed forms exist for n in (3, 4), got {n}")
+    if n not in _UNIF_TABLES:
+        raise OrderError(f"closed forms exist for n in {tuple(_UNIF_TABLES)}, got {n}")
     if not 0.0 < b < 1.0:
         raise RangeError(f"b must be in (0, 1), got {b}")
     if b >= 0.5:
@@ -312,9 +312,6 @@ def monte_carlo_distribution(
     rank earlier-index-smaller. This is the one-order case of the draw a
     parametric null makes in build_nulls.
     """
-    _check_order(n)
-    if samples < 1:
-        raise RangeError(f"samples must be >= 1, got {samples}")
     return build_null((), n, NullSpec(model, samples=samples), seed).distribution
 
 
@@ -466,8 +463,7 @@ class NullSpec:
 
     This is the one place that decides which nulls have a closed form:
     uniform steps, and normal steps with mu = 0. The associated null and an
-    empirical step law have none. The closed forms themselves cover n in
-    {3, 4} and raise OrderError at any other order.
+    empirical step law have none. Each closed form owns its order range.
     """
 
     step: StepModel | None = None
@@ -485,7 +481,7 @@ class NullSpec:
             if self.step.family == "normal" and self.step.mu != 0:
                 raise RangeError("closed-form normal nulls require mu = 0")
         if self.samples < 1:
-            raise RangeError("samples must be >= 1")
+            raise RangeError(f"samples must be >= 1, got {self.samples}")
         if self.walk_length is not None and self.walk_length < 2:
             raise RangeError("walk_length must be >= 2")
 
@@ -525,7 +521,7 @@ class NullModel:
 
 def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
                 policy: TiePolicy | None = None) -> tuple[NullModel, ...]:
-    """Realize a NullSpec at several orders, one NullModel per order.
+    """Realize a NullSpec at several orders: one NullModel per order, as given.
 
     A closed form is evaluated at each order. Any other null is one draw
     from `seed`, ranked at every order in one pass: the associated null is
@@ -534,10 +530,7 @@ def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
     parametric null is `samples` walks of max(orders) values, each order
     counting their leading values, at delay 1 with no jitter.
     """
-    if not orders:
-        raise RangeError("need at least one order")
-    for n in orders:
-        _check_order(n)
+    _check_orders(orders)
     step, method = spec.step, "monte_carlo"
     # an int seed is recorded here; a derived SeedSequence is recorded upstream
     recorded = int(seed) if isinstance(seed, (int, np.integer)) else None

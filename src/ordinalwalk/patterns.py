@@ -24,18 +24,28 @@ from typing import Iterable, Literal, Sequence
 
 import numpy as np
 
-from .errors import LengthError, RangeError, TieError
+from .errors import LengthError, OrderError, RangeError, TieError
 
-#: Largest supported pattern order, where analysis stops; dense n!
-#: tables and rc-closure checks stay small up to here.
+#: Largest pattern order, where analysis stops: dense n! tables stay small.
 MAX_ORDER = 7
 
 _FACT = [math.factorial(k) for k in range(MAX_ORDER + 1)]
 
 
 def _check_order(n: int) -> None:
+    # the one check of 2..MAX_ORDER; each narrower range lives with its owner
     if not 2 <= n <= MAX_ORDER:
-        raise RangeError(f"order must be in [2, {MAX_ORDER}], got {n}")
+        raise OrderError(f"patterns support orders 2..{MAX_ORDER}, got {n}")
+
+
+def _check_orders(orders) -> list[int]:
+    """The distinct orders, ascending, each checked by _check_order."""
+    orders = sorted(set(int(n) for n in orders))
+    if not orders:
+        raise RangeError("need at least one order")
+    for n in orders:
+        _check_order(n)
+    return orders
 
 
 # --------------------------------------------------------------------------
@@ -333,10 +343,6 @@ def _check_span(length: int, orders, d: int) -> None:
 def _prepared(series, orders, d: int, policy: TiePolicy | None):
     """Validated (and, under jitter, perturbed) values for _lag_ranks."""
     policy = policy or TiePolicy()
-    if not orders:
-        raise RangeError("need at least one order")
-    for n in orders:
-        _check_order(n)
     values = _as_values(series)
     _check_span(values.shape[-1], orders, d)
     if policy.mode == "jitter":
@@ -355,7 +361,7 @@ def pattern_counts(
     series is one series, or a 2-D stack with one series per row; the
     counts of order n then have shape (n!,) or (rows, n!).
     """
-    orders = sorted(set(int(n) for n in orders))
+    orders = _check_orders(orders)
     values, strict = _prepared(series, orders, d, policy)
     return {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(values, orders, d, strict)}
 
@@ -414,7 +420,7 @@ def extract_patterns(
     Windows are (x_t, x_{t+d}, ..., x_{t+(n-1)d}) for t = 1..N-(n-1)d, so
     exactly N-(n-1)d patterns come back, in series order.
     """
-    values, strict = _prepared(series, (n,), d, policy)
+    values, strict = _prepared(series, _check_orders((n,)), d, policy)
     _, ranks = next(_lag_ranks(values, (n,), d, strict))
     cache: dict[int, OrdinalPattern] = {}
     out = []
