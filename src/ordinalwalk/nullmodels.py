@@ -339,16 +339,16 @@ def _count_below(cut_grid: np.ndarray, res: int) -> np.ndarray:
 
 
 def _prefix_chunks(res: int, n: int, mids: np.ndarray, chunk: int):
-    """Yield (k, n-1) matrices of walk prefixes (0, y1, y1+y2, ...) over
-    the midpoint grid of the first n-2 step axes."""
+    """Yield (k, n-1) matrices of walk prefixes (0, y1, y1+y2, ...) over the
+    first n-2 step axes, y = mids[cell]; mids = 0, 1, ... gives digit sums."""
     total = res ** (n - 2)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
-        z = np.zeros((idx.size, n - 1))
+        z = np.zeros((n - 1, idx.size))  # filled by rows, each prefix contiguous
         for axis in range(n - 2):
             digit = (idx // res ** (n - 3 - axis)) % res
-            z[:, axis + 1] = z[:, axis] + mids[digit]
-        yield z
+            z[axis + 1] = z[axis] + mids[digit]
+        yield z.T
 
 
 @lru_cache(maxsize=8)
@@ -357,43 +357,79 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
 
     Midpoint rule with resolution cells per axis; the last axis is counted
     analytically per column, so cost grows as resolution^(n-2) columns.
-    Each column's n-1 cut points (where the last value passes a prefix
-    value) are counted once; the last value's slot among the prefix values
-    then spans from the highest count below it to the lowest count above.
-    A column whose prefix sums tie at the cell center spreads its mass
-    equally over every ordering the non-tied pairs admit (normalized per
-    column, so the volumes always total exactly 1). Error is
-    O(1/resolution) from cells straddling the boundary hyperplanes;
-    everything else is exact.
+    A sum of r step centres with cell indices totalling D is
+    r(b-1) + (D + r/2)/resolution, so a table over (r, D) per chunk decides
+    each comparison of two prefix values and, in one _count_below call,
+    each cut's count of cells below it. A column with strictly ordered
+    prefix values has one prefix order u, and its slot above the j lowest
+    spans from the j-th to the (j+1)-th lowest count: such columns are
+    summed per u by bincounts. A column whose prefix sums tie at the cell
+    center spreads its mass equally over every ordering the non-tied pairs
+    admit (normalized per column, so the volumes always total exactly 1).
+    Error is O(1/resolution) from cells straddling the boundary
+    hyperplanes; everything else is exact.
+
+    Bit-identical to summing each column's slots one by one: counts are
+    multiples of 1/2 and shares 1/2^k, so each chunk's totals are exact in
+    any order. A chunk with another share (three tied values) is summed
+    per ordering over all its columns; each chunk adds to the volumes once.
     """
-    mids = (b - 1.0) + (np.arange(resolution) + 0.5) / resolution
-    prefixes = [lex_unrank(n - 1, r).word for r in range(_FACT[n - 1])]
-    pairs = list(combinations(range(n - 1), 2))
+    m = n - 1
+    words = [lex_unrank(m, u).word for u in range(_FACT[m])]
+    spare = len(words)  # the bin of the columns summed per ordering
+    pairs = list(combinations(range(m), 2))
     earlier, later = np.array(pairs).T
+    span = later - earlier
     # above[u, p]: prefix u puts the later entry of pair p above the earlier
-    above = np.array([[w[c] > w[a] for a, c in pairs] for w in prefixes])
-    # slots[u][j]: the rank of the pattern ordered as prefix u whose last
-    # entry is the (j+1)-th smallest, and the prefix positions below and
-    # above that entry
-    slots = []
-    for w in prefixes:
-        at = np.argsort(w)
-        slots.append([(lex_rank(OrdinalPattern(tuple(r + (r > j) for r in w) + (j + 1,))),
-                       at[:j], at[j:]) for j in range(n)])
+    above = np.array([[w[c] > w[a] for a, c in pairs] for w in words])
+    # order[u]: prefix u's positions from its lowest value up; ranks[u, j]:
+    # the pattern ordered as u whose last entry is the (j+1)-th lowest
+    order = np.argsort(words, axis=1)
+    ranks = np.array([[lex_rank(OrdinalPattern(tuple(r + (r > j) for r in w) + (j + 1,)))
+                       for j in range(n)] for w in words])
+    descent = np.array([_FACT[m - 1 - a] for a in earlier])  # lex rank weights
+    # the last value passes prefix value a at pair (a, m-1), itself at no step
+    cuts = np.flatnonzero(later == m - 1)
+    last = _count_below(np.array((0.0 - (b - 1.0)) * resolution - 0.5), resolution)
+    steps = np.arange(m)[:, None]
     acc = np.zeros(_FACT[n])
-    for z in _prefix_chunks(resolution, n, mids, 1 << 17):
+    for z in _prefix_chunks(resolution, n, np.arange(resolution, dtype=float), 1 << 17):
+        digits = z.T.astype(np.min_scalar_type(-m * resolution))  # (0, d1, d1+d2, ...)
+        gaps = digits[later] - digits[earlier]  # the digit sum of each pair's steps
+        low, width = int(gaps.min()), int(np.ptp(gaps)) + 1
+        # sums[r, D - low]: a sum of r step centres whose digits total D
+        sums = steps * (b - 1.0) + (np.arange(low, low + width) + steps / 2) / resolution
+        table = _count_below((-sums - (b - 1.0)) * resolution - 0.5, resolution)
         # a pair within _SNAP_SUM of a tie admits both of its orders
-        gap = z.T[later] - z.T[earlier]
-        admits = np.where(above[:, :, None], gap >= -_SNAP_SUM, gap <= _SNAP_SUM).all(axis=1)
+        up = gaps >= low + (sums < -_SNAP_SUM).sum(axis=1, dtype=np.int32)[span, None]
+        down = gaps < low + (sums <= _SNAP_SUM).sum(axis=1, dtype=np.int32)[span, None]
+        tied = np.flatnonzero((up & down).any(axis=0))
+        admits = np.where(above[:, :, None], up[:, tied], down[:, tied]).all(axis=1)
+        prefix = sum(weight * fall for weight, fall in zip(descent, down))
+        prefix[tied] = spare  # tied columns are summed per ordering
+        if (admits.sum(axis=0) & (admits.sum(axis=0) - 1)).any():  # a share not 1/2^k
+            every = prefix == np.arange(spare)[:, None]  # a strict column's own order
+            every[:, tied] = admits
+            admits, tied, prefix[:] = every, np.arange(digits.shape[1]), spare
+        cols = np.bincount(prefix, minlength=spare + 1)[:-1]
+        # each position's counts summed per prefix order, from columns per digit sum
+        sums_u = np.column_stack([np.bincount(prefix * width + gaps[p] - low, minlength=(
+            spare + 1) * width).reshape(-1, width)[:-1] @ table[span[p]] for p in cuts]
+            + [cols * last])
+        totals = np.zeros(_FACT[n])
+        totals[ranks] = np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
+                                append=resolution * cols[:, None], axis=1)
+        counts = np.vstack([table[span[cuts, None], gaps[cuts][:, tied] - low],
+                            np.full((1, tied.size), last)])
         admitted = admits.sum(axis=0)
-        counts = _count_below((z.T - z[:, -1] - (b - 1.0)) * resolution - 0.5, resolution)
         for u in np.flatnonzero(admits.any(axis=1)):
             share = admits[u] / admitted
-            for rank, lower, upper in slots[u]:
+            for j, rank in enumerate(ranks[u]):
                 # count(max S) = max count(S), as _count_below is monotone
-                cells = (counts[upper].min(axis=0, initial=resolution)
-                         - counts[lower].max(axis=0, initial=0.0))
-                acc[rank] += float((share * np.maximum(cells, 0.0)).sum())
+                cells = (counts[order[u, j:]].min(axis=0, initial=resolution)
+                         - counts[order[u, :j]].max(axis=0, initial=0.0))
+                totals[rank] += float((share * np.maximum(cells, 0.0)).sum())
+        acc += totals
     acc /= float(resolution) ** (n - 1)
     acc.setflags(write=False)
     return acc

@@ -18,6 +18,7 @@ symmetry_transform     complement / reverse / reverse-complement
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal, Sequence
@@ -32,19 +33,22 @@ MAX_ORDER = 7
 _FACT = [math.factorial(k) for k in range(MAX_ORDER + 1)]
 
 
-def _check_order(n: int) -> None:
+def _check_order(n: int) -> int:
     # the one check of 2..MAX_ORDER; each narrower range lives with its owner
+    try:
+        n = operator.index(n)  # an integer of any integer type, never a truncated float
+    except TypeError:
+        raise OrderError(f"orders must be integers, got {n!r}") from None
     if not 2 <= n <= MAX_ORDER:
         raise OrderError(f"patterns support orders 2..{MAX_ORDER}, got {n}")
+    return n
 
 
 def _check_orders(orders) -> list[int]:
     """The distinct orders, ascending, each checked by _check_order."""
-    orders = sorted(set(int(n) for n in orders))
+    orders = sorted({_check_order(n) for n in orders})
     if not orders:
         raise RangeError("need at least one order")
-    for n in orders:
-        _check_order(n)
     return orders
 
 

@@ -116,3 +116,22 @@ def test_sweep_matches_reference_at_a_near_tie():
     # counts differently; each tied ordering must read the counts in its
     # own order (sorting the counts would give both orderings the same cells)
     _assert_same_bits(3, 0.5005 + 7.5e-10, 1000)
+
+
+def test_sweep_matches_reference_over_several_chunks_at_a_free_b():
+    # 600^2 columns span three chunks; a golden-ratio b, as the benchmark
+    # draws, ties no prefix sums, so every column reads its prefix order
+    _assert_same_bits(4, 0.3819660112501051, 600)
+
+
+def test_sweep_matches_reference_where_three_values_tie():
+    # b = 1 - 33/104 puts a cell center at 0, so a zero step ties three
+    # prefix values and shares a third; both chunks are summed per ordering
+    _assert_same_bits(5, 1.0 - 33 / 104, 52)
+
+
+def test_sweep_matches_reference_where_every_tie_is_a_pair():
+    # b = 1 - 34/104 ties only two-step sums: prefix values 0 and 2, and 1
+    # and 3, each in pairs, so every share is 1/2 or 1/4 and only the tied
+    # columns are summed per ordering
+    _assert_same_bits(5, 1.0 - 34 / 104, 52)

@@ -75,6 +75,28 @@ def test_every_order_refusal_is_an_order_error(name):
     assert isinstance(err.value, RangeError)
 
 
+# entry point -> a call with an order that is not an integer
+NON_INTEGERS = {
+    "pattern_counts": lambda: pattern_counts(X, (3.7,)),
+    "AnalysisConfig": lambda: AnalysisConfig(orders=(3.9,)),
+    "lex_unrank": lambda: lex_unrank(3.5, 0),
+    "empirical_distribution": lambda: empirical_distribution(X, 3.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INTEGERS))
+def test_a_non_integer_order_is_an_order_error_naming_it(name):
+    with pytest.raises(OrderError, match=r"^orders must be integers, got 3\.[579]$"):
+        NON_INTEGERS[name]()
+
+
+def test_integer_types_pass_and_integral_floats_do_not():
+    assert AnalysisConfig(orders=(np.int64(5), np.int32(3))).orders == (3, 5)
+    assert lex_unrank(np.int64(3), 5).word == (3, 2, 1)
+    with pytest.raises(OrderError, match=r"^orders must be integers, got 4\.0$"):
+        AnalysisConfig(orders=(4.0,))
+
+
 @pytest.mark.parametrize("call", [
     lambda: pattern_counts(X, ()),
     lambda: build_nulls(X, (), NullSpec()),
