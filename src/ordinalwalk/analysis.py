@@ -49,9 +49,10 @@ from .patterns import (
     TiePolicy,
     TimeSeries,
     _apply_jitter,
+    _as_series,
     _check_orders,
+    _patterns,
     empirical_distributions,
-    lex_unrank,
 )
 
 
@@ -246,11 +247,6 @@ def _csv_rows(path):
 # analysis
 # --------------------------------------------------------------------------
 
-def _as_series(series) -> TimeSeries:
-    # unlike patterns._as_values, this rejects a 2-D stack of series
-    return series if isinstance(series, TimeSeries) else TimeSeries(series)
-
-
 @dataclass(frozen=True)
 class OrderAnalysis:
     """One order's report plus the distributions behind it."""
@@ -433,11 +429,9 @@ def emit(result, format: Literal["json", "csv", "plotdata"] = "json") -> bytes:
         for r in results:
             for oa in r.per_order:
                 n = oa.report.n
-                for rank in range(oa.empirical.weights.size):
-                    writer.writerow((
-                        r.window_start, n, str(lex_unrank(n, rank)),
-                        repr(float(oa.empirical.weights[rank])),
-                        repr(float(oa.null.distribution.weights[rank])),
-                    ))
+                rows = zip(_patterns(n), oa.empirical.weights, oa.null.distribution.weights)
+                for pattern, p, q in rows:
+                    writer.writerow((r.window_start, n, str(pattern),
+                                     repr(float(p)), repr(float(q))))
         return buffer.getvalue().encode()
     raise RangeError(f"unknown emit format {format!r}")

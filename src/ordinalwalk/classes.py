@@ -28,8 +28,8 @@ from .patterns import (
     OrdinalPattern,
     PatternDistribution,
     _check_order,
+    _patterns,
     _symmetry_ranks,
-    lex_unrank,
 )
 
 _N3_CLASSES = [
@@ -134,9 +134,8 @@ class EquivalenceClassTable:
 
     def as_strings(self) -> list[list[str]]:
         """Classes as lists of pattern strings, for JSON export."""
-        return [
-            [str(lex_unrank(self.order, r)) for r in g] for g in self.classes
-        ]
+        patterns = _patterns(self.order)
+        return [[str(patterns[r]) for r in g] for g in self.classes]
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +165,6 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
     validated once per order, like equivalence_classes.
     """
-    _check_order(n)  # before _symmetry_ranks, whose tables stop at MAX_ORDER
     partners = _symmetry_ranks(n, "reverse_complement").tolist()
     groups = tuple((r,) if p == r else (r, p) for r, p in enumerate(partners) if r <= p)
     return EquivalenceClassTable(n, groups, "rc_closure")

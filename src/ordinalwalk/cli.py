@@ -4,7 +4,8 @@ Subcommands: analyze, window, simulate, nullmodel, classes, oracle.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical or
 support error. A JSON config file (--config) supplies defaults for any
 long flag (keys use underscores; a string or number value is read as
-the flag's own text would be); explicit flags win. In --strict mode
+the flag's own text would be, a list only by a comma-list flag, and a
+switch takes only true or false); explicit flags win. In --strict mode
 every run that consumes randomness must name its --seed.
 """
 
@@ -62,6 +63,7 @@ def _comma_list(kind, noun: str):
             return tuple(kind(part) for part in text.split(","))
         except ValueError:
             raise _UsageError(f"expected comma-separated {noun}, got {text!r}") from None
+    parse.comma_list = True  # a config file may give this flag a JSON list
     return parse
 
 
@@ -196,9 +198,16 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
 # config-file defaults
 # --------------------------------------------------------------------------
 
+def _config_text(value) -> str:
+    # 1e6 and 4.0 read as integers, as the flag's text "1000000" would
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return str(value)
+
+
 def _load_config(args, parser: _Parser) -> dict:
     """The config file's flag defaults for one subcommand's parser; a
-    null value leaves a flag's own, and a number parses as its text."""
+    null value leaves a flag's own, and a list's elements are joined."""
     try:
         with open(args.config, encoding="utf-8") as handle:
             loaded = json.load(handle)
@@ -216,11 +225,13 @@ def _load_config(args, parser: _Parser) -> dict:
             raise _UsageError(f"config key {key!r} is not a flag of this subcommand")
         if value is None:
             continue
-        if action.type is not None and type(value) in (int, float):
-            # 1e6 and 4.0 read as integers, as the flag's text "1000000" would
-            if isinstance(value, float) and value.is_integer():
-                value = int(value)
-            value = str(value)
+        if isinstance(value, list) and getattr(action.type, "comma_list", False):
+            value = ",".join(map(_config_text, value))
+        elif action.type is not None and type(value) in (int, float):
+            value = _config_text(value)
+        # a switch (nargs 0) takes only true or false, and only a comma-list flag a list
+        if (action.nargs == 0) != isinstance(value, bool) or isinstance(value, (list, dict)):
+            raise _UsageError(f"config key {key!r} has invalid value {value!r}")
         if action.choices is not None and value not in action.choices:
             raise _UsageError(f"config key {key!r} has invalid choice {value!r}")
         defaults[key] = value

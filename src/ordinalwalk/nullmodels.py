@@ -57,11 +57,11 @@ from .patterns import (
     _check_orders,
     _check_span,
     _lag_ranks,
+    _patterns,
     _row_counts,
     _symmetry_ranks,
     empirical_distribution,
     lex_rank,
-    lex_unrank,
 )
 
 # --------------------------------------------------------------------------
@@ -259,7 +259,7 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
     """
     if n not in (3, 4):
         raise OrderError(f"closed forms exist for n in (3, 4), got {n}")
-    weights = [_normal_orthant(lex_unrank(n, r).word) for r in range(_FACT[n])]
+    weights = [_normal_orthant(p.word) for p in _patterns(n)]
     return PatternDistribution(n, weights, "model", 0)
 
 
@@ -298,7 +298,7 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
             raise RangeError("series values must be finite")  # as TimeSeries says
         if jitter:
             z += noise.normal(0.0, policy.jitter_scale, z.shape)
-        yield _lag_ranks(z, orders, d, False)
+        yield _lag_ranks(z, orders, d)
 
 
 def monte_carlo_distribution(
@@ -375,7 +375,7 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     per ordering over all its columns; each chunk adds to the volumes once.
     """
     m = n - 1
-    words = [lex_unrank(m, u).word for u in range(_FACT[m])]
+    words = [p.word for p in _patterns(m)]
     spare = len(words)  # the bin of the columns summed per ordering
     pairs = list(combinations(range(m), 2))
     earlier, later = np.array(pairs).T

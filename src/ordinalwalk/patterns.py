@@ -3,7 +3,9 @@ and empirical pattern distributions.
 
 The rank convention throughout: the pattern of a window (x_1, ..., x_n) is
 the permutation word where word[i] is the rank of x_i among the window
-values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231.
+values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231. Series
+are ranked as lex-rank arrays (_lag_ranks); the patterns themselves come
+from one table per order, _patterns(n), whose entry r has lex rank r.
 
 Main entry points
 -----------------
@@ -21,6 +23,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import permutations
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -200,10 +203,7 @@ class PatternDistribution:
 
     def as_dict(self) -> dict[str, float]:
         """Weights keyed by pattern string, in lexicographic order."""
-        return {
-            str(lex_unrank(self.order, r)): float(w)
-            for r, w in enumerate(self.weights)
-        }
+        return {str(p): float(w) for p, w in zip(_patterns(self.order), self.weights)}
 
 
 # --------------------------------------------------------------------------
@@ -221,25 +221,24 @@ def lex_rank(pattern: OrdinalPattern) -> int:
     return rank
 
 
+@lru_cache(maxsize=None)
+def _patterns(n: int) -> tuple[OrdinalPattern, ...]:
+    """Every order-n pattern, the one at index r of lex rank r; built once
+    per order. permutations() of a sorted sequence yields lex order."""
+    return tuple(map(OrdinalPattern, permutations(range(1, _check_order(n) + 1))))
+
+
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
     """Inverse of lex_rank: the pattern of given order at the given rank."""
-    _check_order(n)
-    if not 0 <= rank < _FACT[n]:
+    patterns = _patterns(n)
+    if not 0 <= rank < len(patterns):
         raise RangeError(f"rank must be in [0, {n}!), got {rank}")
-    remaining = list(range(1, n + 1))
-    word = []
-    rest = rank
-    for i in range(n):
-        base = _FACT[n - 1 - i]
-        idx, rest = divmod(rest, base)
-        word.append(remaining.pop(idx))
-    return OrdinalPattern(tuple(word))
+    return patterns[rank]
 
 
 def all_patterns(n: int) -> list[OrdinalPattern]:
     """Every order-n pattern in lexicographic order."""
-    _check_order(n)
-    return [lex_unrank(n, r) for r in range(_FACT[n])]
+    return list(_patterns(n))
 
 
 def symmetry_transform(
@@ -270,8 +269,7 @@ def symmetry_transform(
 def _symmetry_ranks(n: int, kind: str) -> np.ndarray:
     """Read-only intp array mapping each lex rank of order n to the rank
     of its symmetry_transform under kind; built once per (n, kind)."""
-    ranks = np.array([symmetry_transform(lex_unrank(n, r), kind).rank
-                      for r in range(_FACT[n])], dtype=np.intp)
+    ranks = np.array([symmetry_transform(p, kind).rank for p in _patterns(n)], dtype=np.intp)
     ranks.setflags(write=False)
     return ranks
 
@@ -279,6 +277,11 @@ def _symmetry_ranks(n: int, kind: str) -> np.ndarray:
 # --------------------------------------------------------------------------
 # extraction
 # --------------------------------------------------------------------------
+
+def _as_series(series) -> TimeSeries:
+    # unlike _as_values, this rejects a 2-D stack of series
+    return series if isinstance(series, TimeSeries) else TimeSeries(series)
+
 
 def _as_values(series) -> np.ndarray:
     if isinstance(series, TimeSeries):
@@ -296,7 +299,7 @@ def _apply_jitter(values: np.ndarray, scale: float, seed) -> np.ndarray:
     return values + rng.normal(0.0, scale, size=values.shape)
 
 
-def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
+def _lag_ranks(x: np.ndarray, orders, d: int):
     """Yield (n, ranks) for each requested order n, in increasing order.
 
     ranks holds the lex rank of every length-n, delay-d window along the
@@ -304,17 +307,13 @@ def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
     orders share one set of lag comparisons c_k[t] = x[t+kd] < x[t]
     (the Lehmer code): with S_m = c_1 + ... + c_m,
     rank_{m+1}[t] = m! S_m[t] + rank_m[t+d]. Equal values rank
-    earlier-index-smaller; under strict=True a duplicate within any window
-    of a requested order raises TieError instead. Each yielded array feeds
-    the next order's ranks, so callers reduce it (to counts, say) without
-    modifying it before resuming.
+    earlier-index-smaller; the strict tie rule is _prepared's. Each
+    yielded array feeds the next order's ranks, so callers reduce it (to
+    counts, say) without modifying it before resuming.
     """
     size = x.shape[-1]
     below = np.zeros_like(x, dtype=np.int8)  # S_m, shrinking by d per m
     rank = np.broadcast_to(np.int32(0), x.shape)  # rank_1; 7! < 2**31
-    if strict:
-        equal = np.zeros_like(x, dtype=bool)  # any equal lag up to m
-        tied = np.broadcast_to(False, x.shape)  # any equal pair in the window
     for m in range(1, max(orders)):
         width = size - m * d
         below = below[..., :width]
@@ -323,13 +322,7 @@ def _lag_ranks(x: np.ndarray, orders, d: int, strict: bool):
         step *= _FACT[m]
         step += rank[..., d:]
         rank = step
-        if strict:
-            equal = equal[..., :width]
-            equal |= x[..., m * d:] == x[..., :width]
-            tied = equal | tied[..., d:]
         if m + 1 in orders:
-            if strict and tied.any():
-                raise TieError("window contains duplicate values (strict ties)")
             yield m + 1, rank
 
 
@@ -344,14 +337,27 @@ def _check_span(length: int, orders, d: int) -> None:
                           f"at delay {d} (needs {span})")
 
 
-def _prepared(series, orders, d: int, policy: TiePolicy | None):
-    """Validated (and, under jitter, perturbed) values for _lag_ranks."""
+def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
+    """Validated (and, under jitter, perturbed) values for _lag_ranks.
+
+    Owns the strict tie rule: TieError if any window of a requested order
+    holds two equal values. Those lie k*d apart for some 0 < k < n, and
+    the W windows of the lowest order n > k reach every such pair whose
+    first index, taken mod d, is below W (every pair once W >= d).
+    """
     policy = policy or TiePolicy()
     values = _as_values(series)
-    _check_span(values.shape[-1], orders, d)
+    size = values.shape[-1]
+    _check_span(size, orders, d)
     if policy.mode == "jitter":
         values = _apply_jitter(values, policy.jitter_scale, policy.seed)
-    return values, policy.mode == "strict"
+    if policy.mode == "strict":
+        for k in range(1, max(orders)):
+            windows = size - (min(n for n in orders if n > k) - 1) * d
+            equal = values[..., k * d:] == values[..., :size - k * d]
+            if equal[..., np.arange(size - k * d) % d < windows].any():
+                raise TieError("window contains duplicate values (strict ties)")
+    return values
 
 
 def pattern_counts(
@@ -366,8 +372,8 @@ def pattern_counts(
     counts of order n then have shape (n!,) or (rows, n!).
     """
     orders = _check_orders(orders)
-    values, strict = _prepared(series, orders, d, policy)
-    return {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(values, orders, d, strict)}
+    values = _prepared(series, orders, d, policy)
+    return {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(values, orders, d)}
 
 
 def _row_counts(ranks: np.ndarray, n: int) -> np.ndarray:
@@ -395,22 +401,10 @@ def standardize(window: Sequence[float], policy: TiePolicy | None = None) -> Ord
     OrdinalPattern
         word[i] is the rank of window[i], 1 for the smallest value.
     """
-    policy = policy or TiePolicy()
     vals = np.asarray(window, dtype=np.float64)
     if vals.ndim != 1 or vals.size < 2:
         raise LengthError("a window needs at least two values")
-    if not np.isfinite(vals).all():
-        raise RangeError("window values must be finite")
-    _check_order(vals.size)
-    if policy.mode == "strict" and np.unique(vals).size < vals.size:
-        raise TieError("window contains duplicate values (strict ties)")
-    if policy.mode == "jitter":
-        vals = _apply_jitter(vals, policy.jitter_scale, policy.seed)
-    order = sorted(range(vals.size), key=lambda i: (vals[i], i))
-    word = [0] * vals.size
-    for rank, i in enumerate(order, start=1):
-        word[i] = rank
-    return OrdinalPattern(tuple(word))
+    return extract_patterns(vals, vals.size, 1, policy)[0]  # its one window
 
 
 def extract_patterns(
@@ -424,17 +418,11 @@ def extract_patterns(
     Windows are (x_t, x_{t+d}, ..., x_{t+(n-1)d}) for t = 1..N-(n-1)d, so
     exactly N-(n-1)d patterns come back, in series order.
     """
-    values, strict = _prepared(series, _check_orders((n,)), d, policy)
-    _, ranks = next(_lag_ranks(values, (n,), d, strict))
-    cache: dict[int, OrdinalPattern] = {}
-    out = []
-    for r in ranks:
-        r = int(r)
-        pat = cache.get(r)
-        if pat is None:
-            pat = cache[r] = lex_unrank(n, r)
-        out.append(pat)
-    return out
+    orders = _check_orders((n,))
+    values = _prepared(_as_series(series), orders, d, policy)
+    _, ranks = next(_lag_ranks(values, orders, d))
+    patterns = _patterns(n)
+    return [patterns[r] for r in ranks.tolist()]
 
 
 def empirical_distribution(
@@ -463,7 +451,7 @@ def empirical_distributions(
     """empirical_distribution at several orders, from one pass of the
     rank kernel; keyed by order."""
     out = {}
-    for n, counts in pattern_counts(series, orders, d, policy).items():
+    for n, counts in pattern_counts(_as_series(series), orders, d, policy).items():
         windows = int(counts.sum())
         out[n] = PatternDistribution(n, counts / windows, "empirical", windows)
     return out

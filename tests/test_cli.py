@@ -199,12 +199,44 @@ def test_config_numbers_parse_like_flags(tmp_path, capsysbinary):
     assert capsysbinary.readouterr().out == from_config
 
 
-@pytest.mark.parametrize("values", [{"n": 3.5}, {"seed": "x"}, {"format": "xml"},
-                                    {"family": "cauchy"}])
+@pytest.mark.parametrize("values", [
+    {"n": 3.5}, {"seed": "x"}, {"format": "xml"}, {"family": "cauchy"},
+    # a list fits only a comma-list flag; a switch takes only true or false
+    {"b": [0.55, 0.65]}, {"samples": [1000]}, {"seed": True}, {"b": {"x": 1}},
+    {"closed_form": "no"}, {"closed_form": 0}, {"strict": 1}, {"header": "false"},
+])
 def test_config_values_outside_a_flag_are_usage_errors(tmp_path, values):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(values))
     assert main(["nullmodel", "--samples", "1000", "--config", str(cfg)]) == 1
+
+
+def test_config_lists_read_like_comma_text(tmp_path, capsysbinary):
+    path = _walk_csv(tmp_path)
+    cfg = tmp_path / "run.json"
+    outputs = []
+    for orders in ([4.0, 5], ["4", "5"], "4,5"):
+        cfg.write_text(json.dumps({"orders": orders, "replicates": 0, "walk_length": 2000}))
+        assert main(["analyze", str(path), "--seed", "1", "--config", str(cfg)]) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert [r["n"] for r in json.loads(outputs[0])["reports"]] == [4, 5]
+
+    for b in ([0.55, 0.65], "0.55,0.65"):
+        cfg.write_text(json.dumps({"b": b}))
+        assert main(["oracle", "--n", "3", "--resolution", "20", "--config", str(cfg)]) == 0
+        outputs.append(capsysbinary.readouterr().out)
+    assert outputs[3] == outputs[4]
+
+
+@pytest.mark.parametrize("closure", [True, False])
+def test_config_switches_take_json_booleans(tmp_path, capsysbinary, closure):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"closure": closure}))
+    assert main(["classes", "--n", "4", "--config", str(cfg)]) == 0
+    from_config = capsysbinary.readouterr().out
+    assert main(["classes", "--n", "4", *(["--closure"] if closure else [])]) == 0
+    assert capsysbinary.readouterr().out == from_config
 
 
 @pytest.mark.parametrize("argv, spelled_out", [

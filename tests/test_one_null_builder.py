@@ -38,7 +38,7 @@ def _previous_monte_carlo(model, n, samples, seed=0):
         k = min(nullmodels._CHUNK // n, remaining)
         # column-major, so the kernel's loops run down k walks, not along n
         z = _walks(_sample_steps(model, (k, n - 1), rng), order="F")
-        _, ranks = next(_lag_ranks(z, (n,), 1, False))
+        _, ranks = next(_lag_ranks(z, (n,), 1))
         counts += np.bincount(ranks.ravel(), minlength=_FACT[n])
         remaining -= k
     return PatternDistribution(n, counts / samples, "model", samples)

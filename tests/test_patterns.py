@@ -17,6 +17,7 @@ from ordinalwalk import (
     TimeSeries,
     all_patterns,
     empirical_distribution,
+    empirical_distributions,
     extract_patterns,
     lex_rank,
     lex_unrank,
@@ -24,7 +25,7 @@ from ordinalwalk import (
     standardize,
     symmetry_transform,
 )
-from ordinalwalk.patterns import _FACT, _lag_ranks, _prepared
+from ordinalwalk.patterns import _FACT, _lag_ranks, _patterns, _prepared
 
 # ---------------------------------------------------------------- examples
 
@@ -109,6 +110,19 @@ def test_extract_patterns_length_guard():
         extract_patterns([1.0, 2.0, 3.0], 3, d=0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda x: extract_patterns(x, 3),
+    lambda x: empirical_distribution(x, 3),
+    lambda x: empirical_distributions(x, (3, 4)),
+])
+def test_single_series_calls_refuse_a_stack(call):
+    # only pattern_counts ranks a 2-D stack; the rest take one series
+    stack = np.arange(40.0).reshape(2, 20)
+    with pytest.raises(LengthError, match="one-dimensional"):
+        call(stack)
+    assert pattern_counts(stack, (3,))[3].shape == (2, 6)
+
+
 def test_empirical_distribution_counts():
     series = [1.0, 2.0, 3.0, 2.5, 3.5]
     dist = empirical_distribution(series, 3)
@@ -165,6 +179,29 @@ class TestLexBijection:
         pat = OrdinalPattern(tuple(word))
         smaller = sum(1 for q in all_patterns(pat.order) if q.word < pat.word)
         assert pat.rank == smaller
+
+
+def _factorial_base_unrank(n: int, rank: int) -> tuple[int, ...]:
+    # the factorial-base loop that lex_unrank ran before the pattern table
+    remaining = list(range(1, n + 1))
+    word = []
+    rest = rank
+    for i in range(n):
+        base = _FACT[n - 1 - i]
+        idx, rest = divmod(rest, base)
+        word.append(remaining.pop(idx))
+    return tuple(word)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_pattern_table_matches_factorial_base_unrank(n):
+    table = _patterns(n)
+    assert len(table) == _FACT[n]
+    for r, pattern in enumerate(table):
+        assert pattern.word == _factorial_base_unrank(n, r)
+        assert lex_rank(pattern) == r
+        assert lex_unrank(n, r) is pattern
+    assert all_patterns(n) == list(table)
 
 
 class TestSymmetries:
@@ -305,14 +342,14 @@ class TestLagKernelAgainstPairwise:
                 expected[n] = _reference_ranks(ranked, n, d, mode == "strict")
             except TieError:
                 tie = True
-        prepared, strict = _prepared(values, orders, d, policy)
         if tie:
             with pytest.raises(TieError):
-                list(_lag_ranks(prepared, orders, d, strict))
+                _prepared(values, orders, d, policy)
             with pytest.raises(TieError):
                 pattern_counts(values, orders, d, policy)
             return
-        got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d, strict)}
+        prepared = _prepared(values, orders, d, policy)
+        got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d)}
         assert sorted(got) == orders
         counts = pattern_counts(values, orders, d, policy)
         for n in orders:
@@ -320,6 +357,52 @@ class TestLagKernelAgainstPairwise:
             per_row = np.atleast_2d(expected[n])
             want = np.array([np.bincount(r, minlength=_FACT[n]) for r in per_row])
             assert np.array_equal(np.atleast_2d(counts[n]), want)
+
+
+def _strict(values, orders, d=1):
+    return pattern_counts(np.array(values, dtype=float), orders, d, TiePolicy("strict"))
+
+
+class TestStrictTieCheck:
+    """_prepared raises TieError exactly when a window of a requested
+    order holds two equal values; the kernel itself never checks ties."""
+
+    def test_tie_at_the_widest_lag_of_a_window_raises(self):
+        # x[0] == x[3] share the one order-4 window (lag (N-1)d = 3)
+        with pytest.raises(TieError):
+            _strict([5.0, 1.0, 2.0, 5.0, 3.0], (4,))
+
+    def test_tie_beyond_every_window_passes(self):
+        # x[0] == x[4] lie N*d = 4 apart, wider than any order-4 window
+        counts = _strict([5.0, 1.0, 2.0, 3.0, 5.0], (4,))
+        assert counts[4].sum() == 2
+
+    def test_tie_seen_only_at_the_top_order_raises(self):
+        # no order-3 window holds both 5s, the order-5 window does
+        values = [5.0, 1.0, 2.0, 3.0, 5.0]
+        assert _strict(values, (3,))[3].sum() == 3
+        with pytest.raises(TieError):
+            _strict(values, (3, 5))
+
+    def test_stack_checks_each_row(self):
+        # the 5s are 4 apart in row 0, 3 apart in row 1; each row alone decides
+        rows = [[5.0, 1.0, 2.0, 3.0, 5.0], [1.0, 5.0, 2.0, 3.0, 5.0]]
+        assert _strict(rows[:1], (3, 4))[4].shape == (1, 24)
+        with pytest.raises(TieError):
+            _strict(rows, (3, 4))
+        with pytest.raises(TieError):
+            _strict(rows[1:], (3, 4))
+
+    def test_delay_two(self):
+        # windows (x0, x2, x4) and (x1, x3, x5): a tie two apart is inside one
+        with pytest.raises(TieError):
+            _strict([1.0, 7.0, 2.0, 7.0, 3.0, 4.0], (3,), d=2)
+        # six apart (N*d) is not, nor is x1 == x3 when no window starts at x1
+        assert _strict([7.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0], (3,), d=2)[3].sum() == 3
+        assert _strict([1.0, 7.0, 2.0, 7.0, 3.0], (3,), d=2)[3].sum() == 1
+        # an order-2 window starting at x1 holds x1 and x3
+        with pytest.raises(TieError):
+            _strict([1.0, 7.0, 2.0, 7.0, 3.0], (2, 3), d=2)
 
 
 def test_kernel_memory_on_a_long_walk():

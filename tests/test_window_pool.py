@@ -108,7 +108,8 @@ def test_pool_with_more_threads_than_cores_and_cold_caches(monkeypatch):
                             null=NullSpec(walk_length=5_000))
     wspec = WindowSpec(120, 60)
     want = _one_at_a_time(series, wspec, config)
-    for cached in (classes.equivalence_classes, classes.rc_closure, patterns._symmetry_ranks):
+    for cached in (classes.equivalence_classes, classes.rc_closure, patterns._symmetry_ranks,
+                   patterns._patterns):
         cached.cache_clear()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
     interval = sys.getswitchinterval()
