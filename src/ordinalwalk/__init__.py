@@ -49,12 +49,9 @@ from .metrics import (
     permutation_entropy,
 )
 from .nullmodels import (
-    BandResult,
     NullModel,
     NullSpec,
     StepModel,
-    associated_walk,
-    bootstrap_band,
     build_null,
     build_nulls,
     closed_form_normal_zero_mean,
@@ -85,14 +82,14 @@ from .patterns import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisConfig", "AnalysisResult", "BandResult", "ClassSpreadReport",
+    "AnalysisConfig", "AnalysisResult", "ClassSpreadReport",
     "EmptyError", "EquivalenceClassTable", "GeneratorSpec", "LengthError",
     "MAX_ORDER", "MetricReport", "NullModel", "NullSpec", "OrderAnalysis",
     "OrderError", "OrderMismatchError", "OrdinalPattern", "OrdinalWalkError",
     "ParseError", "PatternDistribution", "RangeError", "SpecError",
     "StepModel", "SupportError", "TiePolicy", "TieError", "TimeSeries",
-    "WindowSpec", "all_patterns", "analyze", "analyze_run", "associated_walk",
-    "bootstrap_band", "build_null", "build_nulls",
+    "WindowSpec", "all_patterns", "analyze", "analyze_run",
+    "build_null", "build_nulls",
     "closed_form_normal_zero_mean", "closed_form_uniform",
     "default_walk_length", "emit", "empirical_distribution",
     "empirical_distributions", "equivalence_classes", "extract_patterns",

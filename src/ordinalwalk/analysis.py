@@ -38,12 +38,7 @@ from .metrics import (
     momentum_epsilon,
     permutation_entropy,
 )
-from .nullmodels import (
-    NullModel,
-    NullSpec,
-    bootstrap_band,
-    build_nulls,
-)
+from .nullmodels import NullModel, NullSpec, _nulls_and_bands
 from .patterns import (
     PatternDistribution,
     TiePolicy,
@@ -84,8 +79,8 @@ class AnalysisConfig:
             raise RangeError("analysis jitters from the run seed; leave the policy's seed at 0")
         if self.delay < 1:
             raise RangeError(f"delay must be >= 1, got {self.delay}")
-        if self.replicates < 0:
-            raise RangeError(f"replicates must be >= 0, got {self.replicates}")
+        if self.replicates < 0 or self.replicates == 1:  # a band's spread needs two
+            raise RangeError(f"replicates must be 0 or >= 2, got {self.replicates}")
         if self.smoothing < 0:
             raise RangeError(f"smoothing must be >= 0, got {self.smoothing}")
 
@@ -275,8 +270,9 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     window_start keys the derived random streams (the whole series is
     window 1), so a length-N window at start 1 reproduces the whole-series
     analysis exactly. One null per run, from the run's null key, serves
-    both kl_to_model and the band, whose replicates come from the band key;
-    a jitter policy perturbs the series from the jitter key.
+    both kl_to_model and the band. An associated null's band is walks of
+    the null's own draw; a given null's band draws from the band key. A
+    jitter policy perturbs the series from the jitter key.
     """
     ts = _as_series(series)
     base = np.random.SeedSequence(config.seed, spawn_key=(window_start,))
@@ -287,15 +283,10 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
         values, policy = _apply_jitter(ts.values, policy.jitter_scale, jitter_key), None
     empiricals = empirical_distributions(values, (2,) + config.orders, config.delay, policy)
     dist2 = empiricals[2]
-    nulls = build_nulls(ts, config.orders, config.null, null_key, config.delay, config.policy)
-    bands = [None] * len(nulls)
-    if config.replicates > 0:
-        bands = bootstrap_band(
-            ts, [null.distribution for null in nulls], config.replicates, band_key,
-            config.delay, config.policy, config.smoothing,
-        )
     runs = []
-    for null, band in zip(nulls, bands):
+    for null, band in _nulls_and_bands(ts, config.orders, config.null, null_key, config.delay,
+                                       config.policy, config.replicates, config.smoothing,
+                                       band_key):
         n = null.order
         empirical = empiricals[n]
         kl = kl_divergence(empirical, null.distribution, config.smoothing)
@@ -308,8 +299,8 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
             g_statistic=g_statistic(empirical, classes),
             epsilon_up=momentum_epsilon(empirical, dist2, "up"),
             epsilon_down=momentum_epsilon(empirical, dist2, "down"),
-            kl_band_mean=None if band is None else band.mean,
-            kl_band_std=None if band is None else band.std,
+            kl_band_mean=None if band is None else float(np.mean(band)),
+            kl_band_std=None if band is None else float(np.std(band, ddof=1)),
             classes_source=classes.source,
             model=config.null.describe(),
             seed=config.seed,

@@ -118,7 +118,8 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        default="associated", help="null model kind (default associated)")
         p.add_argument("--walk-length", type=int, dest="walk_length",
                        help="values the associated null draws, in walks of the "
-                            "series' length (default max(1e6, 100N))")
+                            "series' length (default max(1e6, 100N)); a larger "
+                            "band draws one walk per replicate")
         step_flags(p)
         p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                        dest="closed_form", default=False,
@@ -126,7 +127,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--null-samples", type=int, dest="null_samples", default=1_000_000,
                        help="Monte Carlo draws for parametric nulls (default 1e6)")
         p.add_argument("--replicates", "-R", type=int, default=400,
-                       help="bootstrap replicates (default 400, 0 disables)")
+                       help="bootstrap replicates (default 400, 0 disables): the "
+                            "associated null's first R walks, each scored "
+                            "leave-one-out")
         p.add_argument("--smoothing", type=float, default=1.0,
                        help="pseudocount for sampled nulls (default 1)")
         p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json",

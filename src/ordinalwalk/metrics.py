@@ -37,25 +37,26 @@ def permutation_entropy(dist: PatternDistribution) -> float:
     return h / math.log2(_FACT[dist.order])
 
 
-def _kl_rows(p_rows: np.ndarray, q: PatternDistribution, smoothing: float) -> np.ndarray:
-    """kl_divergence from q of every row of a (rows, n!) weight matrix,
-    with the smoothing rule applied row by row."""
+def _kl_rows(p_rows: np.ndarray, q_rows: np.ndarray, sample_count: int,
+             smoothing: float) -> np.ndarray:
+    """kl_divergence of every row of a (rows, n!) weight matrix from q_rows,
+    one null's weights or one per row, all sampled from sample_count
+    windows, with the smoothing rule applied row by row."""
     if smoothing < 0:
         raise RangeError(f"smoothing must be >= 0, got {smoothing}")
+    size = p_rows.shape[-1]  # n!
     used = p_rows > 0
-    unsupported = (used & (q.weights == 0)).any(axis=1)
-    q_rows = q.weights
+    unsupported = (used & (q_rows == 0)).any(axis=1)
     if unsupported.any():
-        if smoothing == 0 or q.sample_count == 0:
+        if smoothing == 0 or sample_count == 0:
             raise SupportError(
                 "q has zero weight on a pattern p uses; pass smoothing > 0 "
                 "for sampled models"
             )
-        m = q.sample_count
-        smoothed = (q.weights * m + smoothing) / (m + smoothing * _FACT[q.order])
-        q_rows = np.where(unsupported[:, None], smoothed, q.weights)
+        smoothed = (q_rows * sample_count + smoothing) / (sample_count + smoothing * size)
+        q_rows = np.where(unsupported[:, None], smoothed, q_rows)
     ratio = np.divide(p_rows, q_rows, out=np.ones_like(p_rows), where=used)
-    return (p_rows * np.log2(ratio)).sum(axis=1) / math.log2(_FACT[q.order])
+    return (p_rows * np.log2(ratio)).sum(axis=1) / math.log2(size)
 
 
 def kl_divergence(
@@ -78,7 +79,7 @@ def kl_divergence(
     """
     if p.order != q.order:
         raise OrderMismatchError(f"orders differ: {p.order} vs {q.order}")
-    return float(_kl_rows(p.weights[None, :], q, smoothing)[0])
+    return float(_kl_rows(p.weights[None, :], q.weights, q.sample_count, smoothing)[0])
 
 
 def missing_pattern_count(dist: PatternDistribution) -> int:

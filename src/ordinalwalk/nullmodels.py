@@ -9,17 +9,18 @@ closed_form_uniform            exact table, uniform steps on [b-1, b], n = 3, 4
 closed_form_normal_zero_mean   orthant formulas, centered normal steps, n = 3, 4
 monte_carlo_distribution       frequency over m independent simulated walks
 volume_oracle                  deterministic quadrature estimate (uniform steps)
-associated_walk                one walk resampled from a series' own steps
 build_nulls                    the null builder: a closed form per order,
                                or one draw per run ranked at every order
 kl_to_null                     divergence of a series from a chosen null
-bootstrap_band                 replicate divergences against the same null
 
-One sampler draws every walk. The associated null and the bootstrap band
-are two reductions of one draw, walks of the series' length ranked as the
-series is, and an analysis run scores both the series (kl_to_model) and
-every replicate against that null, so the band measures replicate noise
-around the very null the series is held to.
+One sampler draws every walk. An analysis run draws the associated null
+and its bootstrap band once: max(R, ceil(L / N)) walks of the series'
+length N, ranked as the series is. The null counts every walk, so its
+sample_count grows when R replicates outnumber ceil(L / N) walks. The
+band is the first R walks, each scored against the null less its own
+walk (leave-one-out), so the band measures replicate noise around the
+null the series (kl_to_model) is held to. A parametric or closed-form
+null's band draws R walks of the series' own steps from a key of its own.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
 through the step sign flip, which maps b to 1-b and every pattern to its
@@ -40,7 +41,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Literal, Sequence
+from typing import Literal
 
 import numpy as np
 
@@ -52,7 +53,6 @@ from .patterns import (
     OrdinalPattern,
     PatternDistribution,
     TiePolicy,
-    TimeSeries,
     _as_values,
     _check_orders,
     _check_span,
@@ -279,8 +279,9 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
 
     The walks come from `seed` in blocks of whole walks of at most _CHUNK
     values (or one walk); a jitter policy's noise comes from the first
-    child of `seed`. Yields each block's _lag_ranks at delay d with stable
-    ties, as a strict rule binds only the series; reduce each before resuming.
+    child of `seed`. Yields each block's first row and its _lag_ranks at
+    delay d with stable ties, as a strict rule binds only the series;
+    reduce each before resuming.
     """
     _check_span(length, orders, d)
     rng = np.random.default_rng(seed)
@@ -298,7 +299,24 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
             raise RangeError("series values must be finite")  # as TimeSeries says
         if jitter:
             z += noise.normal(0.0, policy.jitter_scale, z.shape)
-        yield _lag_ranks(z, orders, d)
+        yield start, _lag_ranks(z, orders, d)
+
+
+def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
+                  policy: TiePolicy | None = None, windows=slice(None), keep: int = 0):
+    """Pattern counts per order of the walks _sampled_ranks draws: summed
+    over the given windows of every walk, and per walk for the first
+    `keep` walks, in the smallest unsigned type that holds a walk's count."""
+    pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
+    kept: dict[int, list[np.ndarray]] = {n: [] for n in orders}
+    for start, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
+        for n, ranks in block:
+            ranks = ranks[:, windows]
+            pooled[n] += np.bincount(ranks.ravel("K"), minlength=_FACT[n])
+            if start < keep:
+                counts = _row_counts(ranks[:keep - start], n)
+                kept[n].append(counts.astype(np.min_scalar_type(ranks.shape[-1])))
+    return pooled, kept
 
 
 def monte_carlo_distribution(
@@ -476,26 +494,17 @@ def _own_steps(values: np.ndarray) -> StepModel:
     return StepModel.empirical(np.diff(values))
 
 
-def associated_walk(series, length: int, seed=0) -> TimeSeries:
-    """A walk of the given length whose steps are resampled (with
-    replacement) from the observed first differences of the series.
-
-    Starts at 0; the output has exactly `length` values.
-    """
-    step = _own_steps(_as_values(series))
-    if length < 2:
-        raise LengthError(f"walk length must be >= 2, got {length}")
-    return TimeSeries(_walks(_sample_steps(step, (length - 1,), np.random.default_rng(seed))))
-
-
 @dataclass(frozen=True)
 class NullSpec:
     """Which null model to hold a series against.
 
     step None is the associated null: the series' own steps resampled into
     ceil(walk_length / N) walks of its length N, walk_length max(10^6, 100 N)
-    by default. A StepModel is a parametric step law, evaluated by Monte
-    Carlo over `samples` walks of the top order, or exactly when closed_form.
+    by default. An analysis run with R band replicates draws
+    max(R, ceil(walk_length / N)) walks, scores the first R leave-one-out,
+    and its null's sample_count grows when R is the larger. A StepModel is
+    a parametric step law, evaluated by Monte Carlo over `samples` walks of
+    the top order, or exactly when closed_form.
 
     This is the one place that decides which nulls have a closed form:
     uniform steps, and normal steps with mu = 0. The associated null and an
@@ -555,42 +564,79 @@ class NullModel:
         }
 
 
-def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
-                policy: TiePolicy | None = None) -> tuple[NullModel, ...]:
-    """Realize a NullSpec at several orders: one NullModel per order, as given.
+def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
+                     policy: TiePolicy | None = None, replicates: int = 0,
+                     smoothing: float = 1.0, band_seed=None):
+    """One (NullModel, band) per order, as given: the null as build_nulls
+    realizes it, and the divergences from it of `replicates` walks of the
+    series' own steps, ranked like the null (None with no replicates).
 
-    A closed form is evaluated at each order. Any other null is one draw
-    from `seed`, ranked at every order in one pass: the associated null is
-    the band's draw (walks as long as the series or the top order's span),
-    every window ranked as the series is, at delay d and tie policy; a
-    parametric null is `samples` walks of max(orders) values, each order
-    counting their leading values, at delay 1 with no jitter.
+    An associated null draws max(replicates, ceil(walk_length / N)) walks;
+    its band is the first `replicates` of them, each scored against the
+    pool less its own walk. A parametric or closed-form null's band draws
+    its own walks from band_seed and scores them against that null. Each
+    walk is smoothed as kl_divergence would smooth it.
     """
     _check_orders(orders)
-    step, method = spec.step, "monte_carlo"
+    step, method, own = spec.step, "monte_carlo", spec.step is None
     # an int seed is recorded here; a derived SeedSequence is recorded upstream
     recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
+    if own or replicates:  # walks of the series' own steps, ranked like the series
+        values = _as_values(series)
+        steps = _own_steps(values)
+        length = max(values.size, (max(orders) - 1) * d + 1)
     if spec.closed_form:
         dists = {n: closed_form_uniform(n, step.b) if step.family == "uniform_b"
                  else closed_form_normal_zero_mean(n) for n in orders}
         method, recorded = "closed_form", None
     else:
-        if step is None:  # every window of the band's draw, ranked like the series
-            values = _as_values(series)
-            step = _own_steps(values)
-            length = max(values.size, (max(orders) - 1) * d + 1)
-            rows = -(-(spec.walk_length or default_walk_length(values.size)) // length)
-            windows = slice(None)
+        if own:  # the band's walks and more, every window counted
+            step = steps
+            budget = -(-(spec.walk_length or default_walk_length(values.size)) // length)
+            counts, kept = _drawn_counts(step, max(replicates, budget), length, orders, d,
+                                         seed, policy, keep=replicates)
         else:  # the step law itself: each walk's leading window, at delay 1 unjittered
-            rows, length, d, policy, windows = spec.samples, max(orders), 1, None, 0
-        counts = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
-        for block in _sampled_ranks(step, rows, length, orders, d, seed, policy):
-            for n, ranks in block:
-                counts[n] += np.bincount(ranks[:, windows].ravel("K"), minlength=_FACT[n])
+            counts, _ = _drawn_counts(step, spec.samples, max(orders), orders, 1, seed,
+                                      windows=0)
         dists = {n: PatternDistribution(n, c / c.sum(), "model", int(c.sum()))
                  for n, c in counts.items()}
-    return tuple(NullModel(step, n, dists[n], method, dists[n].sample_count, recorded)
+    if replicates and not own:  # a given null's band draws walks of its own
+        _, kept = _drawn_counts(steps, replicates, length, orders, d, band_seed, policy,
+                                keep=replicates)
+    return tuple((NullModel(step, n, dists[n], method, dists[n].sample_count, recorded),
+                  _band(n, kept[n], length - (n - 1) * d, dists[n],
+                        counts[n] if own else None, smoothing) if replicates else None)
                  for n in orders)
+
+
+def _band(n: int, kept, windows: int, null: PatternDistribution, pool,
+          smoothing: float) -> np.ndarray:
+    """Divergences from the null of walks with the kept counts of `windows`
+    order-n windows each, scored at most _CHUNK counts at a time. With
+    pooled counts, each walk leaves the pool before it is scored."""
+    counts = np.concatenate(kept)
+    m = null.sample_count - (0 if pool is None else windows)
+    rows = max(1, _CHUNK // _FACT[n])
+    return np.concatenate([
+        _kl_rows(c / windows, null.weights if pool is None else (pool - c) / m, m, smoothing)
+        for c in (counts[lo:lo + rows] for lo in range(0, len(counts), rows))])
+
+
+def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
+                policy: TiePolicy | None = None) -> tuple[NullModel, ...]:
+    """Realize a NullSpec at several orders: one NullModel per order, as given.
+
+    A closed form is evaluated at each order. Any other null is one draw
+    from `seed`, ranked at every order in one pass. The associated null is
+    ceil(walk_length / N) walks of the series' length N (or the top
+    order's span, if longer), every window counted and ranked as the
+    series is, at delay d and tie policy; an analysis run with a band of
+    more replicates than that draws one walk per replicate instead, so
+    the null's sample_count grows. A parametric null is `samples` walks
+    of max(orders) values, each order counting their leading values, at
+    delay 1 with no jitter.
+    """
+    return tuple(null for null, _ in _nulls_and_bands(series, orders, spec, seed, d, policy))
 
 
 def build_null(series, n: int, spec: NullSpec, seed=0, d: int = 1,
@@ -618,47 +664,3 @@ def kl_to_null(
     null_dist = build_null(series, n, model_spec or NullSpec(), seed, d, policy).distribution
     p = empirical_distribution(series, n, d, policy)
     return kl_divergence(p, null_dist, smoothing)
-
-
-@dataclass(frozen=True)
-class BandResult:
-    """Bootstrap replicate divergences: mean, sample std, raw values."""
-
-    mean: float
-    std: float
-    samples: tuple[float, ...]
-
-
-def bootstrap_band(
-    series,
-    nulls: Sequence[PatternDistribution],
-    replicates: int = 400,
-    seed=0,
-    d: int = 1,
-    policy: TiePolicy | None = None,
-    smoothing: float = 1.0,
-) -> tuple[BandResult, ...]:
-    """Spread of the KL-to-null statistic under the series' own step law.
-
-    Draws `replicates` walks of the series' length from `seed`, as the
-    associated null does, ranks them at every null's order as the null is
-    ranked, and scores each row against that null (the one the series
-    itself is scored against) in one row-wise divergence, smoothed per row
-    as kl_divergence would be. Takes one null per order and returns one
-    BandResult per null; bit-identical across runs.
-    """
-    if replicates < 2:
-        raise RangeError(f"need at least 2 replicates, got {replicates}")
-    values = _as_values(series)
-    length = values.size
-    null_of = {q.order: q for q in nulls}
-    draws: dict[int, list[np.ndarray]] = {n: [] for n in null_of}
-    for block in _sampled_ranks(_own_steps(values), replicates, length, sorted(null_of), d,
-                                seed, policy):
-        for n, ranks in block:
-            rows = _row_counts(ranks, n) / (length - (n - 1) * d)
-            draws[n].append(_kl_rows(rows, null_of[n], smoothing))
-    return tuple(
-        BandResult(float(np.mean(kl)), float(np.std(kl, ddof=1)), tuple(kl.tolist()))
-        for kl in (np.concatenate(draws[q.order]) for q in nulls)
-    )

@@ -231,6 +231,8 @@ def _patterns(n: int) -> tuple[OrdinalPattern, ...]:
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
     """Inverse of lex_rank: the pattern of given order at the given rank."""
     patterns = _patterns(n)
+    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):  # True is an int
+        raise RangeError(f"rank must be an integer, got {rank!r}")
     if not 0 <= rank < len(patterns):
         raise RangeError(f"rank must be in [0, {n}!), got {rank}")
     return patterns[rank]

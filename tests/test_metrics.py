@@ -189,7 +189,7 @@ class TestSmoothingRule:
     def test_rows_smoothed_only_where_unsupported(self):
         from ordinalwalk.metrics import _kl_rows
 
-        got = _kl_rows(self.ROWS, self.Q, 1.0)
+        got = _kl_rows(self.ROWS, self.Q.weights, self.Q.sample_count, 1.0)
         assert got[0] == 0.5 / np.log2(6.0)  # 0.5 log2(1) + 0.5 log2(2)
         for i in (0, 2):
             assert got[i] == kl_divergence(_dist(3, self.ROWS[i]), self.Q, 0.0)
@@ -202,14 +202,15 @@ class TestSmoothingRule:
 
         exact = _dist(3, self.Q.weights, "model", 0)
         with pytest.raises(SupportError):
-            _kl_rows(self.ROWS, exact, 1.0)
+            _kl_rows(self.ROWS, exact.weights, exact.sample_count, 1.0)
         with pytest.raises(SupportError):
-            _kl_rows(self.ROWS, self.Q, 0.0)
+            _kl_rows(self.ROWS, self.Q.weights, self.Q.sample_count, 0.0)
         with pytest.raises(SupportError):
             kl_divergence(_dist(3, self.ROWS[1]), exact, 1.0)
         # an exact null that supports every row needs no smoothing
-        assert np.array_equal(_kl_rows(self.ROWS[[0, 2]], exact, 1.0),
-                              _kl_rows(self.ROWS[[0, 2]], self.Q, 0.0))
+        rows = self.ROWS[[0, 2]]
+        assert np.array_equal(_kl_rows(rows, exact.weights, exact.sample_count, 1.0),
+                              _kl_rows(rows, self.Q.weights, self.Q.sample_count, 0.0))
 
     def test_supported_sampled_null_is_not_smoothed(self):
         p = _dist(3, self.ROWS[0])

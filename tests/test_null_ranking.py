@@ -9,12 +9,10 @@ import pytest
 from ordinalwalk import (
     GeneratorSpec,
     NullSpec,
-    PatternDistribution,
     RangeError,
     StepModel,
     TieError,
     TiePolicy,
-    bootstrap_band,
     build_nulls,
     generate,
     kl_to_null,
@@ -22,6 +20,7 @@ from ordinalwalk import (
 )
 from ordinalwalk.analysis import AnalysisConfig, analyze
 from ordinalwalk.cli import main
+from ordinalwalk.nullmodels import _nulls_and_bands
 
 JITTER = TiePolicy("jitter", jitter_scale=0.01)
 
@@ -57,12 +56,17 @@ def test_strict_ties_still_reject_a_tied_series(tmp_path, capsys):
     assert "data error: window contains duplicate values (strict ties)" in capsys.readouterr().err
 
 
+def _band(series, orders, spec, replicates, policy=None, seed=3):
+    (_, band), = _nulls_and_bands(series, orders, spec, seed, 1, policy, replicates, 1.0, seed)
+    return band
+
+
 def test_band_ranks_its_walks_with_stable_ties():
     # steps +3, -1, -1, -1 return a walk to its start within an order-5 window
     series = _alternating()
-    null = PatternDistribution.uniform(5)
-    strict = bootstrap_band(series, [null], 20, seed=3, policy=TiePolicy("strict"))
-    assert strict == bootstrap_band(series, [null], 20, seed=3)
+    for spec in (NullSpec(walk_length=20_000), NullSpec(StepModel.uniform(0.6), samples=500)):
+        strict = _band(series, (5,), spec, 20, policy=TiePolicy("strict"))
+        assert strict.tobytes() == _band(series, (5,), spec, 20).tobytes()
 
 
 def test_associated_null_takes_the_run_delay():
@@ -115,4 +119,4 @@ def test_monte_carlo_takes_every_seed_type():
 def test_band_walks_that_overflow_raise_one_error():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(RangeError, match="^series values must be finite$"):
-            bootstrap_band([0.0, 9e307, 0.0], [PatternDistribution.uniform(3)], 50, seed=1)
+            _band([0.0, 9e307, 0.0], (3,), NullSpec(StepModel.uniform(0.6), closed_form=True), 50)

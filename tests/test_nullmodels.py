@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ordinalwalk import nullmodels
 from ordinalwalk import (
+    AnalysisConfig,
     LengthError,
     NullSpec,
     OrderError,
@@ -17,8 +18,6 @@ from ordinalwalk import (
     TiePolicy,
     TimeSeries,
     all_patterns,
-    associated_walk,
-    bootstrap_band,
     build_null,
     build_nulls,
     closed_form_normal_zero_mean,
@@ -213,30 +212,7 @@ def test_oracle_guards():
         volume_oracle(OrdinalPattern.from_string("123"), StepModel.uniform(0.6), 1)
 
 
-# --------------------------------------------------------- associated walk
-
-def test_associated_walk_shape():
-    series = [1.0, 3.0, 2.0, 5.0]
-    walk = associated_walk(series, 1000, seed=3)
-    assert len(walk) == 1000
-    assert walk.values[0] == 0.0
-    observed = {2.0, -1.0, 3.0}
-    assert set(np.round(np.diff(walk.values), 12)) <= observed
-
-
-def test_associated_walk_deterministic():
-    series = generate(GeneratorSpec("iid_uniform", 50, seed=1))
-    a = associated_walk(series, 500, seed=9).values
-    b = associated_walk(series, 500, seed=9).values
-    assert np.array_equal(a, b)
-
-
-def test_associated_walk_guards():
-    with pytest.raises(LengthError):
-        associated_walk([1.0], 100)
-    with pytest.raises(LengthError):
-        associated_walk([1.0, 2.0], 1)
-
+# ------------------------------------------------------ associated null
 
 def test_default_walk_length_floor():
     assert default_walk_length(100) == 1_000_000
@@ -262,69 +238,70 @@ def test_kl_to_null_accepts_step_model_and_spec():
     assert against_exact == pytest.approx(against_mc, abs=0.01)
 
 
-def _own_null(series, n, seed=0):
-    return build_null(series, n, NullSpec(walk_length=50_000), seed=seed).distribution
+def _bands(series, orders, replicates, seed=0, policy=None, spec=None, band_seed=None):
+    # the replicate divergences per order, scored as an analysis run scores them
+    return [band for _, band in nullmodels._nulls_and_bands(
+        series, orders, spec or NullSpec(walk_length=50_000), seed, 1, policy, replicates,
+        1.0, band_seed)]
 
 
 def test_bootstrap_band_reproducible():
     series = generate(GeneratorSpec("walk", 300, seed=6, step=StepModel.uniform(0.55)))
-    q = _own_null(series, 3)
-    a, = bootstrap_band(series, [q], replicates=20, seed=77)
-    b, = bootstrap_band(series, [q], replicates=20, seed=77)
-    assert a == b
-    assert len(a.samples) == 20
-    assert a.std >= 0.0
+    a, = _bands(series, (3,), 20, seed=77)
+    b, = _bands(series, (3,), 20, seed=77)
+    assert a.tobytes() == b.tobytes()
+    assert len(a) == 20
+    assert np.std(a, ddof=1) > 0.0
 
 
 def test_bootstrap_band_degenerate_zero():
-    band, = bootstrap_band(np.arange(40.0), [_own_null(np.arange(40.0), 3)],
-                           replicates=5, seed=1)
-    assert band.mean == 0.0 and band.std == 0.0
-    assert band.samples == (0.0,) * 5
+    band, = _bands(np.arange(40.0), (3,), 5, seed=1)
+    assert band.tolist() == [0.0] * 5
 
 
 def test_bootstrap_band_replicate_guard():
+    # a spread needs two replicates; the config refuses one before any draw
+    with pytest.raises(RangeError, match="replicates must be 0 or >= 2, got 1"):
+        AnalysisConfig(replicates=1)
     with pytest.raises(RangeError):
-        bootstrap_band(np.arange(40.0), [PatternDistribution.uniform(3)], replicates=1)
+        AnalysisConfig(replicates=-1)
 
 
 def test_bootstrap_band_all_orders_match_one_at_a_time():
     series = generate(GeneratorSpec("walk", 400, seed=3, step=StepModel.uniform(0.6)))
-    q3, q5 = _own_null(series, 3), _own_null(series, 5)
-    both = bootstrap_band(series, [q3, q5], replicates=12, seed=4)
-    assert both == (bootstrap_band(series, [q3], replicates=12, seed=4)
-                    + bootstrap_band(series, [q5], replicates=12, seed=4))
+    both = _bands(series, (3, 5), 12, seed=4)
+    alone = _bands(series, (3,), 12, seed=4) + _bands(series, (5,), 12, seed=4)
+    assert [band.tobytes() for band in both] == [band.tobytes() for band in alone]
 
 
 def test_bootstrap_band_blocks_do_not_change_the_draws(monkeypatch):
-    # the stack is drawn and ranked in blocks of rows to bound memory; the
-    # replicate walks are the same rows of one stream whatever the block
+    # the walks are drawn, ranked and scored in blocks of rows to bound
+    # memory; the replicate walks are the same rows of one stream whatever the block
     series = generate(GeneratorSpec("walk", 300, seed=8, step=StepModel.uniform(0.6)))
-    q = _own_null(series, 4)
-    whole = bootstrap_band(series, [q], replicates=7, seed=2)
+    given = NullSpec(StepModel.uniform(0.6), closed_form=True)
+    whole = _bands(series, (4,), 7, seed=2) + _bands(series, (4,), 7, spec=given, band_seed=2)
     monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
-    assert bootstrap_band(series, [q], replicates=7, seed=2) == whole
+    blocked = _bands(series, (4,), 7, seed=2) + _bands(series, (4,), 7, spec=given, band_seed=2)
+    assert [band.tobytes() for band in blocked] == [band.tobytes() for band in whole]
 
 
 def test_bootstrap_band_blocks_do_not_change_the_jitter(monkeypatch):
     # the jitter has its own stream, so it too is the same whatever the block
     series = np.repeat(generate(GeneratorSpec("walk", 150, seed=8, step=StepModel.uniform(0.6))
                                 ).values, 2)
-    q = _own_null(series, 4)
     jitter = TiePolicy("jitter", jitter_scale=0.05)
-    whole = bootstrap_band(series, [q], replicates=7, seed=2, policy=jitter)
+    whole, = _bands(series, (4,), 7, seed=2, policy=jitter)
     monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
-    assert bootstrap_band(series, [q], replicates=7, seed=2, policy=jitter) == whole
+    blocked, = _bands(series, (4,), 7, seed=2, policy=jitter)
+    assert blocked.tobytes() == whole.tobytes()
 
 
 def test_bootstrap_band_jitter_gives_a_spread():
     # constant steps make every replicate walk identical; the jitter must
     # differ between replicates, or the band collapses to zero width
-    series = np.arange(60.0)
-    band, = bootstrap_band(
-        series, [build_null(series, 3, NullSpec(walk_length=5000), seed=1).distribution],
-        replicates=5, seed=1, policy=TiePolicy("jitter", jitter_scale=0.5))
-    assert band.std > 0.0
+    band, = _bands(np.arange(60.0), (3,), 5, seed=1,
+                   policy=TiePolicy("jitter", jitter_scale=0.5), spec=NullSpec(walk_length=5000))
+    assert np.std(band, ddof=1) > 0.0
 
 
 # --------------------------------------------------------------- build_null

@@ -78,6 +78,13 @@ def test_bad_pattern_word():
         OrdinalPattern((1,))
 
 
+@pytest.mark.parametrize("rank", [2.0, "1", True], ids=["float", "str", "bool"])
+def test_unrank_refuses_a_rank_that_is_not_an_integer(rank):
+    # True would index as 1 (pattern 132); 2.0 and "1" used to escape untyped
+    with pytest.raises(RangeError, match="rank must be an integer"):
+        lex_unrank(3, rank)
+
+
 def test_order_thirteen_rejected():
     with pytest.raises(RangeError):
         lex_unrank(13, 0)
@@ -323,6 +330,55 @@ def kernel_cases(draw):
     return np.array(flat).reshape(shape), orders, d, mode
 
 
+@st.composite
+def lag_tie_cases(draw):
+    # one tie planted k*d apart in a series about one top-order span long,
+    # at d > 1: the few windows reach some residues mod d and miss others,
+    # and k may pass the lower orders' spans or every window's
+    orders = sorted(draw(st.sets(st.integers(2, 7), min_size=1, max_size=3)))
+    d = draw(st.integers(2, 3))
+    span = (max(orders) - 1) * d + 1
+    length = draw(st.integers(span, span + d))
+    rows = draw(st.sampled_from([None, 1, 3]))
+    shape = (length,) if rows is None else (rows, length)
+    flat = [float(v) for v in draw(st.permutations(range(int(np.prod(shape)))))]
+    k = draw(st.integers(1, (length - 1) // d))
+    row = draw(st.integers(0, (rows or 1) - 1))
+    first = row * length + draw(st.integers(0, length - 1 - k * d))
+    flat[first + k * d] = flat[first]
+    mode = draw(st.sampled_from(["stable", "strict", "jitter"]))
+    return np.array(flat).reshape(shape), orders, d, mode
+
+
+def _check_against_pairwise(case):
+    values, orders, d, mode = case
+    policy = TiePolicy(mode, jitter_scale=0.5 if mode == "jitter" else 0.0, seed=7)
+    ranked = values
+    if mode == "jitter":
+        ranked = values + np.random.default_rng(7).normal(0.0, 0.5, values.shape)
+    expected, tie = {}, False
+    for n in orders:
+        try:
+            expected[n] = _reference_ranks(ranked, n, d, mode == "strict")
+        except TieError:
+            tie = True
+    if tie:
+        with pytest.raises(TieError):
+            _prepared(values, orders, d, policy)
+        with pytest.raises(TieError):
+            pattern_counts(values, orders, d, policy)
+        return
+    prepared = _prepared(values, orders, d, policy)
+    got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d)}
+    assert sorted(got) == orders
+    counts = pattern_counts(values, orders, d, policy)
+    for n in orders:
+        assert np.array_equal(got[n], expected[n])
+        per_row = np.atleast_2d(expected[n])
+        want = np.array([np.bincount(r, minlength=_FACT[n]) for r in per_row])
+        assert np.array_equal(np.atleast_2d(counts[n]), want)
+
+
 class TestLagKernelAgainstPairwise:
     """The lag-comparison kernel must give the pairwise kernel's ranks bit
     for bit, and raise TieError in exactly the same cases, for series and
@@ -331,32 +387,12 @@ class TestLagKernelAgainstPairwise:
     @given(kernel_cases())
     @settings(max_examples=400, deadline=None)
     def test_ranks_and_tie_errors_match(self, case):
-        values, orders, d, mode = case
-        policy = TiePolicy(mode, jitter_scale=0.5 if mode == "jitter" else 0.0, seed=7)
-        ranked = values
-        if mode == "jitter":
-            ranked = values + np.random.default_rng(7).normal(0.0, 0.5, values.shape)
-        expected, tie = {}, False
-        for n in orders:
-            try:
-                expected[n] = _reference_ranks(ranked, n, d, mode == "strict")
-            except TieError:
-                tie = True
-        if tie:
-            with pytest.raises(TieError):
-                _prepared(values, orders, d, policy)
-            with pytest.raises(TieError):
-                pattern_counts(values, orders, d, policy)
-            return
-        prepared = _prepared(values, orders, d, policy)
-        got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d)}
-        assert sorted(got) == orders
-        counts = pattern_counts(values, orders, d, policy)
-        for n in orders:
-            assert np.array_equal(got[n], expected[n])
-            per_row = np.atleast_2d(expected[n])
-            want = np.array([np.bincount(r, minlength=_FACT[n]) for r in per_row])
-            assert np.array_equal(np.atleast_2d(counts[n]), want)
+        _check_against_pairwise(case)
+
+    @given(lag_tie_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_ties_at_a_multiple_of_the_delay_match(self, case):
+        _check_against_pairwise(case)
 
 
 def _strict(values, orders, d=1):
