@@ -23,7 +23,7 @@ import numpy as np
 
 from .classes import EquivalenceClassTable
 from .errors import OrderMismatchError, RangeError, SupportError
-from .patterns import _FACT, PatternDistribution
+from .patterns import _FACT, PatternDistribution, _check_order
 
 
 def permutation_entropy(dist: PatternDistribution) -> float:
@@ -148,6 +148,7 @@ class MetricReport:
     seed: int | None = None
 
     def __post_init__(self):
+        _check_order(self.n)
         if not 0.0 <= self.permutation_entropy <= 1.0 + 1e-12:
             raise RangeError(
                 f"permutation entropy out of [0, 1]: {self.permutation_entropy}"

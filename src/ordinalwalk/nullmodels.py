@@ -38,7 +38,9 @@ Gaussian vector has a closed form for two and three variates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Literal
@@ -341,6 +343,8 @@ def monte_carlo_distribution(
 _SNAP_GRID = 1e-6
 #: absolute tolerance for calling two partial sums tied at a cell center
 _SNAP_SUM = 1e-9
+#: prefix columns per chunk of the oracle sweep
+_SWEEP_CHUNK = 1 << 17
 
 
 def _count_below(cut_grid: np.ndarray, res: int) -> np.ndarray:
@@ -382,19 +386,19 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     prefix values has one prefix order u, and its slot above the j lowest
     spans from the j-th to the (j+1)-th lowest count: such columns are
     summed per u by bincounts. A column whose prefix sums tie at the cell
-    center spreads its mass equally over every ordering the non-tied pairs
-    admit (normalized per column, so the volumes always total exactly 1).
-    Error is O(1/resolution) from cells straddling the boundary
-    hyperplanes; everything else is exact.
+    center gives a share 1/k to each of the k orderings the non-tied pairs
+    admit (so the volumes always total exactly 1). Error is O(1/resolution)
+    from cells straddling the boundary hyperplanes; everything else is exact.
 
-    Bit-identical to summing each column's slots one by one: counts are
-    multiples of 1/2 and shares 1/2^k, so each chunk's totals are exact in
-    any order. A chunk with another share (three tied values) is summed
-    per ordering over all its columns; each chunk adds to the volumes once.
+    Counts are multiples of 1/2, so doubled counts are summed as integers
+    per share denominator k, and each volume is rounded once from the exact
+    sum over k of count / (2k resolution^(n-1)). The volumes do not depend
+    on chunking or column order; 2 resolution^(n-1) <= 2^53 keeps every
+    float partial sum an exact integer.
     """
     m = n - 1
     words = [p.word for p in _patterns(m)]
-    spare = len(words)  # the bin of the columns summed per ordering
+    spare = len(words)  # the bin of the tied columns, summed per ordering
     pairs = list(combinations(range(m), 2))
     earlier, later = np.array(pairs).T
     span = later - earlier
@@ -410,8 +414,10 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     cuts = np.flatnonzero(later == m - 1)
     last = _count_below(np.array((0.0 - (b - 1.0)) * resolution - 0.5), resolution)
     steps = np.arange(m)[:, None]
-    acc = np.zeros(_FACT[n])
-    for z in _prefix_chunks(resolution, n, np.arange(resolution, dtype=float), 1 << 17):
+    # acc[k, rank]: doubled cells given a share 1/k (row 0 holds the columns
+    # that do not admit the ordering, and is never read)
+    acc = np.zeros((spare + 1, _FACT[n]), dtype=np.int64)
+    for z in _prefix_chunks(resolution, n, np.arange(resolution, dtype=float), _SWEEP_CHUNK):
         digits = z.T.astype(np.min_scalar_type(-m * resolution))  # (0, d1, d1+d2, ...)
         gaps = digits[later] - digits[earlier]  # the digit sum of each pair's steps
         low, width = int(gaps.min()), int(np.ptp(gaps)) + 1
@@ -424,33 +430,29 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
         tied = np.flatnonzero((up & down).any(axis=0))
         admits = np.where(above[:, :, None], up[:, tied], down[:, tied]).all(axis=1)
         prefix = sum(weight * fall for weight, fall in zip(descent, down))
-        prefix[tied] = spare  # tied columns are summed per ordering
-        if (admits.sum(axis=0) & (admits.sum(axis=0) - 1)).any():  # a share not 1/2^k
-            every = prefix == np.arange(spare)[:, None]  # a strict column's own order
-            every[:, tied] = admits
-            admits, tied, prefix[:] = every, np.arange(digits.shape[1]), spare
+        prefix[tied] = spare
         cols = np.bincount(prefix, minlength=spare + 1)[:-1]
         # each position's counts summed per prefix order, from columns per digit sum
         sums_u = np.column_stack([np.bincount(prefix * width + gaps[p] - low, minlength=(
             spare + 1) * width).reshape(-1, width)[:-1] @ table[span[p]] for p in cuts]
             + [cols * last])
-        totals = np.zeros(_FACT[n])
-        totals[ranks] = np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
-                                append=resolution * cols[:, None], axis=1)
+        acc[1, ranks] += (2 * np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
+                                      append=resolution * cols[:, None], axis=1)).astype(np.int64)
         counts = np.vstack([table[span[cuts, None], gaps[cuts][:, tied] - low],
                             np.full((1, tied.size), last)])
         admitted = admits.sum(axis=0)
         for u in np.flatnonzero(admits.any(axis=1)):
-            share = admits[u] / admitted
             for j, rank in enumerate(ranks[u]):
                 # count(max S) = max count(S), as _count_below is monotone
                 cells = (counts[order[u, j:]].min(axis=0, initial=resolution)
                          - counts[order[u, :j]].max(axis=0, initial=0.0))
-                totals[rank] += float((share * np.maximum(cells, 0.0)).sum())
-        acc += totals
-    acc /= float(resolution) ** (n - 1)
-    acc.setflags(write=False)
-    return acc
+                acc[:, rank] += np.bincount(admitted * admits[u], 2 * np.maximum(cells, 0.0),
+                                            minlength=spare + 1).astype(np.int64)
+    scale = 2 * resolution ** m
+    volumes = np.array([float(sum(Fraction(int(c), k) for k, c in enumerate(col) if k and c)
+                              / scale) for col in acc.T])
+    volumes.setflags(write=False)
+    return volumes
 
 
 def _check_oracle_order(n: int) -> None:
@@ -464,17 +466,24 @@ def volume_oracle(
     """Deterministic quadrature estimate of P(pattern) for a uniform-step walk.
 
     Counts midpoint-grid cells of the step cube whose partial sums realize
-    the pattern (tied cells count half). Independent of the closed forms
-    and of any random number stream, with error O(1/resolution); this is
-    the arbiter the closed-form tables were validated against.
+    the pattern (tied cells count half), exactly, and rounds the volume
+    once. Independent of the closed forms and of any random number stream,
+    with error O(1/resolution); this is the arbiter the closed-form tables
+    were validated against. resolution is an integer with
+    2 <= resolution and 2 resolution^(n-1) <= 2^53.
     """
     if model.family != "uniform_b":
         raise RangeError("the volume oracle is defined for uniform_b models")
     n = pattern.order
     _check_oracle_order(n)
+    if isinstance(resolution, bool) or not hasattr(resolution, "__index__"):  # True is an int
+        raise RangeError(f"resolution must be an integer, got {resolution!r}")
+    resolution = operator.index(resolution)  # never a truncated float
     if resolution < 2:
         raise RangeError(f"resolution must be >= 2, got {resolution}")
-    sweep = _oracle_sweep(n, float(model.b), int(resolution))
+    if 2 * resolution ** (n - 1) > 2 ** 53:  # beyond it the cell sums are not exact
+        raise RangeError(f"2 resolution^(n-1) must be at most 2^53, got {resolution} at n = {n}")
+    sweep = _oracle_sweep(n, float(model.b), resolution)
     return float(sweep[pattern.rank])
 
 

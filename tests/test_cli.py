@@ -343,6 +343,11 @@ def test_oracle_order_outside_three_to_five_names_it(n, capsys):
     assert f"volume oracle supports n in [3, 5], got {n}" in capsys.readouterr().err
 
 
+def test_oracle_resolution_beyond_exact_sums_exits_three(capsys):
+    assert main(["oracle", "--n", "3", "--resolution", "67108865"]) == 3
+    assert "at most 2^53" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["analyze", "window", "nullmodel"])
 def test_associated_null_with_closed_form_is_numerical_error(tmp_path, command, capsys):
     # --closed-form cannot make an associated-null run non-random, so

@@ -212,6 +212,22 @@ def test_oracle_guards():
         volume_oracle(OrdinalPattern.from_string("123"), StepModel.uniform(0.6), 1)
 
 
+@pytest.mark.parametrize("resolution", [40.7, 2.5, "40", True])
+def test_oracle_resolution_must_be_an_integer(resolution):
+    # a float is never truncated, and True is not the integer 1
+    with pytest.raises(RangeError, match="resolution must be an integer"):
+        volume_oracle(OrdinalPattern.from_string("123"), StepModel.uniform(0.6), resolution)
+
+
+def test_oracle_resolution_keeps_cell_sums_exact():
+    # 2 (2^26 + 1)^2 > 2^53: refused before any sweep, at n = 3
+    with pytest.raises(RangeError, match=r"at most 2\^53"):
+        volume_oracle(OrdinalPattern.from_string("123"), StepModel.uniform(0.6), 2**26 + 1)
+    assert volume_oracle(OrdinalPattern.from_string("123"), StepModel.uniform(0.6),
+                         np.int64(40)) == volume_oracle(
+        OrdinalPattern.from_string("123"), StepModel.uniform(0.6), 40)
+
+
 # ------------------------------------------------------ associated null
 
 def test_default_walk_length_floor():

@@ -1,18 +1,25 @@
-"""The quadrature sweep against the per-pattern sweep it replaced.
+"""The quadrature sweep against an exact per-pattern sweep.
 
-`reference_sweep` is the earlier `nullmodels._oracle_sweep`, copied
-verbatim without its cache. For every pattern in every column chunk it
-rebuilt the pattern's lower and upper bounds from the n-1 cut points and
-counted cells twice. The current sweep counts each column's cuts once and
-reads every slot's cells from the counts below and above it; it must
-return the same volumes, bit for bit, including at b where prefix sums tie
-exactly at cell centers and the tie shares come into play.
+`reference_sweep` keeps the cut geometry of the earlier per-pattern
+`nullmodels._oracle_sweep`: for every pattern in every column chunk it
+rebuilds the pattern's lower and upper bounds from the n-1 cut points and
+counts cells twice. It sums each column's doubled cells per share
+denominator as integers and rounds each volume once from the exact
+fraction. The current sweep counts each column's cuts once and reads
+every slot's cells from the counts below and above it; it must return the
+same volumes, bit for bit, including at b where prefix sums tie exactly
+at cell centers and the tie shares (1/2, 1/3, ...) come into play, and at
+any chunk size.
 """
+
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ordinalwalk import nullmodels
 from ordinalwalk.nullmodels import (
     _SNAP_SUM,
     _count_below,
@@ -31,7 +38,8 @@ def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     equally over every ordering the non-tied pairs admit (normalized per
     column, so the volumes always total exactly 1). Error is
     O(1/resolution) from cells straddling the boundary hyperplanes;
-    everything else is exact.
+    everything else is exact: doubled cells are summed as integers per
+    share denominator, and each volume is rounded once from the fraction.
     """
     mids = (b - 1.0) + (np.arange(resolution) + 0.5) / resolution
     words = [lex_unrank(n, r).word for r in range(_FACT[n])]
@@ -41,7 +49,7 @@ def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
         prefix_index[tuple(r - (r > word[n - 1]) for r in word[: n - 1])]
         for word in words
     ]
-    acc = np.zeros(_FACT[n])
+    exact = [Fraction(0)] * _FACT[n]
     for z in _prefix_chunks(resolution, n, mids, 1 << 17):
         k = z.shape[0]
         pair_tie = {}
@@ -51,15 +59,16 @@ def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
                 d = z[:, c] - z[:, a]
                 pair_tie[a, c] = np.abs(d) <= _SNAP_SUM
                 pair_pos[a, c] = d > 0
-        share = np.empty((len(prefixes), k))
+        share = np.empty((len(prefixes), k), dtype=np.int64)
         for u, pword in enumerate(prefixes):
-            ind = np.ones(k)
+            ind = np.ones(k, dtype=np.int64)
             for a in range(n - 1):
                 for c in range(a + 1, n - 1):
                     match = pair_pos[a, c] == (pword[c] > pword[a])
-                    ind = ind * np.where(pair_tie[a, c], 1.0, match)
+                    ind = ind * np.where(pair_tie[a, c], 1, match)
             share[u] = ind
-        share /= share.sum(axis=0)
+        # each column gives a share 1/denominator to every ordering it admits
+        denominator = share.sum(axis=0)
         z_last = z[:, n - 2]
         for rank, word in enumerate(words):
             weight = share[prefix_of[rank]]
@@ -76,8 +85,10 @@ def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
             lo_grid = (lo - (b - 1.0)) * resolution - 0.5
             hi_grid = (hi - (b - 1.0)) * resolution - 0.5
             cells = _count_below(hi_grid, resolution) - _count_below(lo_grid, resolution)
-            acc[rank] += float((weight * np.maximum(cells, 0.0)).sum())
-    acc /= float(resolution) ** (n - 1)
+            doubled = weight * (2 * np.maximum(cells, 0.0)).astype(np.int64)
+            for den in np.unique(denominator[weight > 0]):
+                exact[rank] += Fraction(int(doubled[denominator == den].sum()), int(den))
+    acc = np.array([float(v / (2 * resolution ** (n - 1))) for v in exact])
     acc.setflags(write=False)
     return acc
 
@@ -105,6 +116,28 @@ def test_sweep_matches_reference_bit_for_bit(case):
     _assert_same_bits(*case)
 
 
+@st.composite
+def chunked_sweeps(draw):
+    n = draw(st.sampled_from((3, 4, 5)))
+    resolution = draw(st.integers(2, (60, 30, 12)[n - 3]))
+    # odd m puts a cell center at 0, so at n >= 4 three prefix values tie
+    # and a column's share can be 1/3 or 1/6
+    odd = st.integers(0, resolution - 1).map(lambda i: 1.0 - (2 * i + 1) / (2 * resolution))
+    free = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    chunk = draw(st.integers(1, resolution ** (n - 2)))
+    return n, draw(st.one_of(odd, free)), resolution, chunk
+
+
+@settings(max_examples=100, deadline=None)
+@given(chunked_sweeps())
+def test_sweep_bytes_do_not_depend_on_the_chunk(case):
+    n, b, resolution, chunk = case
+    whole = _oracle_sweep.__wrapped__(n, b, resolution)
+    with mock.patch.object(nullmodels, "_SWEEP_CHUNK", chunk):
+        chunked = _oracle_sweep.__wrapped__(n, b, resolution)
+    assert chunked.tobytes() == whole.tobytes(), case
+
+
 def test_sweep_matches_reference_across_chunks():
     # 400^2 columns span two chunks; a cell center sits at 0 for this b
     _assert_same_bits(4, 0.74875, 400)
@@ -126,12 +159,11 @@ def test_sweep_matches_reference_over_several_chunks_at_a_free_b():
 
 def test_sweep_matches_reference_where_three_values_tie():
     # b = 1 - 33/104 puts a cell center at 0, so a zero step ties three
-    # prefix values and shares a third; both chunks are summed per ordering
+    # prefix values and shares a third, which no float sum holds exactly
     _assert_same_bits(5, 1.0 - 33 / 104, 52)
 
 
 def test_sweep_matches_reference_where_every_tie_is_a_pair():
     # b = 1 - 34/104 ties only two-step sums: prefix values 0 and 2, and 1
-    # and 3, each in pairs, so every share is 1/2 or 1/4 and only the tied
-    # columns are summed per ordering
+    # and 3, each in pairs, so every share is 1/2 or 1/4
     _assert_same_bits(5, 1.0 - 34 / 104, 52)

@@ -13,6 +13,7 @@ import pytest
 from ordinalwalk import (
     AnalysisConfig,
     EquivalenceClassTable,
+    MetricReport,
     NullSpec,
     OrderError,
     OrdinalPattern,
@@ -47,6 +48,9 @@ REFUSALS = {
     "build_nulls": (lambda: build_nulls(X, (8,), NullSpec()), BASE + "8$"),
     "monte_carlo_distribution": (lambda: monte_carlo_distribution(UNIFORM, 8, 10), BASE + "8$"),
     "AnalysisConfig": (lambda: AnalysisConfig(orders=(8,)), BASE + "8$"),
+    "MetricReport, order 8": (lambda: MetricReport(8, 0.5, 0), BASE + "8$"),
+    "MetricReport, order 0": (lambda: MetricReport(0, 0.5, 0), BASE + "0$"),
+    "MetricReport, order -1": (lambda: MetricReport(-1, 0.5, 0), BASE + "-1$"),
     "AnalysisConfig, order 2": (lambda: AnalysisConfig(orders=(2, 4)),
                                 r"^analysis needs order >= 3, got 2$"),
     "EquivalenceClassTable": (lambda: EquivalenceClassTable(8, ((0,),), "reference"),
