@@ -343,8 +343,9 @@ def monte_carlo_distribution(
 _SNAP_GRID = 1e-6
 #: absolute tolerance for calling two partial sums tied at a cell center
 _SNAP_SUM = 1e-9
-#: prefix columns per chunk of the oracle sweep
-_SWEEP_CHUNK = 1 << 17
+#: rows per chunk of the oracle sweep, and tied columns (or digit totals of
+#: its tables) per block
+_SWEEP_CHUNK = 1 << 13
 
 
 def _count_below(cut_grid: np.ndarray, res: int) -> np.ndarray:
@@ -362,7 +363,9 @@ def _count_below(cut_grid: np.ndarray, res: int) -> np.ndarray:
 
 def _prefix_chunks(res: int, n: int, mids: np.ndarray, chunk: int):
     """Yield (k, n-1) matrices of walk prefixes (0, y1, y1+y2, ...) over the
-    first n-2 step axes, y = mids[cell]; mids = 0, 1, ... gives digit sums."""
+    first n-2 step axes, y = mids[cell]; mids = 0, 1, ... gives digit sums.
+    The oracle sweep of order n passes n - 1: each prefix then fixes the
+    first n-3 steps of one of its resolution^(n-3) rows."""
     total = res ** (n - 2)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total))
@@ -373,35 +376,58 @@ def _prefix_chunks(res: int, n: int, mids: np.ndarray, chunk: int):
         yield z.T
 
 
+def _tied_columns(rows: np.ndarray, tied: np.ndarray, start: np.ndarray,
+                  size: np.ndarray, chunk: int):
+    """Yield (m, k <= chunk) digit sums (0, d1, d1+d2, ...) of the columns on
+    a row chunk's tied intervals. rows holds each row's first m-1 of them;
+    start and size give each interval's first value of the last swept digit
+    and its column count."""
+    interval, row = np.nonzero(tied & (size > 0))
+    size = size[interval, row]
+    ends, total = np.cumsum(size), int(size.sum())
+    for first in range(0, total, chunk):
+        flat = np.arange(first, min(first + chunk, total))
+        run = np.searchsorted(ends, flat, side="right")
+        at = row[run]
+        digit = start[interval[run], at] + flat - (ends[run] - size[run])
+        yield np.vstack([rows[:, at], rows[-1, at] + digit])
+
+
 @lru_cache(maxsize=8)
 def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     """Quadrature volumes of all n! pattern regions in [b-1, b]^(n-1).
 
     Midpoint rule with resolution cells per axis; the last axis is counted
-    analytically per column, so cost grows as resolution^(n-2) columns.
-    A sum of r step centres with cell indices totalling D is
-    r(b-1) + (D + r/2)/resolution, so a table over (r, D) per chunk decides
-    each comparison of two prefix values and, in one _count_below call,
-    each cut's count of cells below it. A column with strictly ordered
-    prefix values has one prefix order u, and its slot above the j lowest
-    spans from the j-th to the (j+1)-th lowest count: such columns are
-    summed per u by bincounts. A column whose prefix sums tie at the cell
-    center gives a share 1/k to each of the k orderings the non-tied pairs
-    admit (so the volumes always total exactly 1). Error is O(1/resolution)
-    from cells straddling the boundary hyperplanes; everything else is exact.
+    analytically per column, and the columns are swept by rows: a row fixes
+    the first n-3 steps, so cost grows as resolution^(n-3) rows. A sum of r
+    step centres with cell indices totalling D is r(b-1) + (D + r/2)/resolution,
+    so one table over (r, D) per call decides each comparison of two prefix
+    values (two thresholds in D) and, with _count_below, each cut's count of
+    cells below it. Along a row only the pairs that end at the last prefix
+    value move, each down, tied and up on three intervals of the last swept
+    digit, so the row splits at its 2(n-2) breakpoints into at most 2(n-2)+1
+    intervals. A strictly ordered interval has one prefix order u, and its
+    slot above the j lowest prefix values spans from the j-th to the
+    (j+1)-th lowest count: the interval's counts are differences of
+    cumulative table sums, summed per u by bincounts. A tied column, whose
+    prefix sums tie at the cell center, gives a share 1/k to each of the k
+    orderings the non-tied pairs admit (so the volumes always total exactly
+    1); only tied columns are read ordering by ordering. Error is
+    O(1/resolution) from cells straddling the boundary hyperplanes;
+    everything else is exact.
 
     Counts are multiples of 1/2, so doubled counts are summed as integers
     per share denominator k, and each volume is rounded once from the exact
     sum over k of count / (2k resolution^(n-1)). The volumes do not depend
-    on chunking or column order; 2 resolution^(n-1) <= 2^53 keeps every
+    on chunking or summation order; 2 resolution^(n-1) <= 2^53 keeps every
     float partial sum an exact integer.
     """
     m = n - 1
     words = [p.word for p in _patterns(m)]
-    spare = len(words)  # the bin of the tied columns, summed per ordering
+    spare = len(words)  # prefix orders: the most a tied column's share is split
     pairs = list(combinations(range(m), 2))
     earlier, later = np.array(pairs).T
-    span = later - earlier
+    lane = later - earlier - 1  # each pair's row of the tables below
     # above[u, p]: prefix u puts the later entry of pair p above the earlier
     above = np.array([[w[c] > w[a] for a, c in pairs] for w in words])
     # order[u]: prefix u's positions from its lowest value up; ranks[u, j]:
@@ -410,44 +436,68 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     ranks = np.array([[lex_rank(OrdinalPattern(tuple(r + (r > j) for r in w) + (j + 1,)))
                        for j in range(n)] for w in words])
     descent = np.array([_FACT[m - 1 - a] for a in earlier])  # lex rank weights
-    # the last value passes prefix value a at pair (a, m-1), itself at no step
-    cuts = np.flatnonzero(later == m - 1)
-    last = _count_below(np.array((0.0 - (b - 1.0)) * resolution - 0.5), resolution)
-    steps = np.arange(m)[:, None]
+    # a row fixes the pairs within its first m-1 prefix values; the last
+    # value passes prefix value a at cut pair (a, m-1), itself at no step
+    fixed, cuts = np.flatnonzero(later < m - 1), np.flatnonzero(later == m - 1)
+    last = int(2 * _count_below(np.array((0.0 - (b - 1.0)) * resolution - 0.5), resolution))
+    # a pair of r steps whose digits total D is up iff D >= t_up[r-1] and
+    # down iff D < t_down[r-1], so tied, within _SNAP_SUM, in between;
+    # cum[r-1, D]: doubled cells below the cuts of the totals under D
+    steps = np.arange(1, m)[:, None]
+    width = (m - 1) * (resolution - 1) + 1
+    t_up, t_down = np.zeros((2, m - 1), dtype=np.int64)
+    cum = np.zeros((m - 1, width + 1), dtype=np.int64)
+    for low in range(0, width, _SWEEP_CHUNK):
+        totals = np.arange(low, min(low + _SWEEP_CHUNK, width))
+        sums = steps * (b - 1.0) + (totals + steps / 2) / resolution
+        t_up += (sums < -_SNAP_SUM).sum(axis=1)
+        t_down += (sums <= _SNAP_SUM).sum(axis=1)
+        table = _count_below((-sums - (b - 1.0)) * resolution - 0.5, resolution)
+        cum[:, low + 1:low + 1 + totals.size] = (
+            cum[:, low, None] + (2 * table).astype(np.int64).cumsum(axis=1))
     # acc[k, rank]: doubled cells given a share 1/k (row 0 holds the columns
     # that do not admit the ordering, and is never read)
     acc = np.zeros((spare + 1, _FACT[n]), dtype=np.int64)
-    for z in _prefix_chunks(resolution, n, np.arange(resolution, dtype=float), _SWEEP_CHUNK):
-        digits = z.T.astype(np.min_scalar_type(-m * resolution))  # (0, d1, d1+d2, ...)
-        gaps = digits[later] - digits[earlier]  # the digit sum of each pair's steps
-        low, width = int(gaps.min()), int(np.ptp(gaps)) + 1
-        # sums[r, D - low]: a sum of r step centres whose digits total D
-        sums = steps * (b - 1.0) + (np.arange(low, low + width) + steps / 2) / resolution
-        table = _count_below((-sums - (b - 1.0)) * resolution - 0.5, resolution)
-        # a pair within _SNAP_SUM of a tie admits both of its orders
-        up = gaps >= low + (sums < -_SNAP_SUM).sum(axis=1, dtype=np.int32)[span, None]
-        down = gaps < low + (sums <= _SNAP_SUM).sum(axis=1, dtype=np.int32)[span, None]
-        tied = np.flatnonzero((up & down).any(axis=0))
-        admits = np.where(above[:, :, None], up[:, tied], down[:, tied]).all(axis=1)
-        prefix = sum(weight * fall for weight, fall in zip(descent, down))
-        prefix[tied] = spare
-        cols = np.bincount(prefix, minlength=spare + 1)[:-1]
-        # each position's counts summed per prefix order, from columns per digit sum
-        sums_u = np.column_stack([np.bincount(prefix * width + gaps[p] - low, minlength=(
-            spare + 1) * width).reshape(-1, width)[:-1] @ table[span[p]] for p in cuts]
-            + [cols * last])
-        acc[1, ranks] += (2 * np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
-                                      append=resolution * cols[:, None], axis=1)).astype(np.int64)
-        counts = np.vstack([table[span[cuts, None], gaps[cuts][:, tied] - low],
-                            np.full((1, tied.size), last)])
-        admitted = admits.sum(axis=0)
-        for u in np.flatnonzero(admits.any(axis=1)):
-            for j, rank in enumerate(ranks[u]):
-                # count(max S) = max count(S), as _count_below is monotone
-                cells = (counts[order[u, j:]].min(axis=0, initial=resolution)
-                         - counts[order[u, :j]].max(axis=0, initial=0.0))
-                acc[:, rank] += np.bincount(admitted * admits[u], 2 * np.maximum(cells, 0.0),
-                                            minlength=spare + 1).astype(np.int64)
+    for z in _prefix_chunks(resolution, m, np.arange(resolution, dtype=float), _SWEEP_CHUNK):
+        rows = z.T.astype(np.int64)  # (0, d1, d1+d2, ...) up to the row's last fixed step
+        gaps = rows[later[fixed]] - rows[earlier[fixed]]
+        down = gaps < t_down[lane[fixed], None]
+        row_tied = (down & (gaps >= t_up[lane[fixed], None])).any(axis=0)
+        # with last digit d, cut pair (a, m-1) totals offset[a] + d: down
+        # below lo[a], tied from lo[a] up to hi[a], up from there
+        offset = rows[-1] - rows
+        lo = np.clip(t_up[lane[cuts], None] - offset, 0, resolution)
+        hi = np.clip(t_down[lane[cuts], None] - offset, 0, resolution)
+        edges = np.sort(np.vstack([np.zeros_like(lo[:1]), lo, hi,
+                                   np.full_like(lo[:1], resolution)]), axis=0)
+        start, size = edges[:-1], np.diff(edges, axis=0)
+        falls = start < lo[:, None]
+        tied = row_tied | (~falls & (start < hi[:, None])).any(axis=0)
+        strict = ~tied & (size > 0)
+        prefix = (sum(weight * fall for weight, fall in zip(descent[fixed], down))
+                  + sum(weight * fall for weight, fall in zip(descent[cuts], falls)))[strict]
+        cols = np.bincount(prefix, size[strict], minlength=spare)
+        # each position's doubled counts summed per prefix order, over intervals
+        counted = np.diff(cum[lane[cuts, None, None], offset[:, None] + edges], axis=1)
+        sums_u = np.column_stack([np.bincount(prefix, cut[strict], minlength=spare)
+                                  for cut in counted] + [cols * last])
+        acc[1, ranks] += np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
+                                 append=2 * resolution * cols[:, None], axis=1).astype(np.int64)
+        for digits in _tied_columns(rows, tied, start, size, _SWEEP_CHUNK):
+            gaps = digits[later] - digits[earlier]
+            up, down = gaps >= t_up[lane, None], gaps < t_down[lane, None]
+            admits = np.where(above[:, :, None], up, down).all(axis=1)
+            lanes, at = lane[cuts, None], gaps[cuts]  # doubled cut counts, from cum
+            counts = np.vstack([cum[lanes, at + 1] - cum[lanes, at],
+                                np.full((1, digits.shape[1]), last)])
+            admitted = admits.sum(axis=0)
+            for u in np.flatnonzero(admits.any(axis=1)):
+                for j, rank in enumerate(ranks[u]):
+                    # count(max S) = max count(S), as _count_below is monotone
+                    cells = (counts[order[u, j:]].min(axis=0, initial=2 * resolution)
+                             - counts[order[u, :j]].max(axis=0, initial=0))
+                    acc[:, rank] += np.bincount(admitted * admits[u], np.maximum(cells, 0),
+                                                minlength=spare + 1).astype(np.int64)
     scale = 2 * resolution ** m
     volumes = np.array([float(sum(Fraction(int(c), k) for k, c in enumerate(col) if k and c)
                               / scale) for col in acc.T])

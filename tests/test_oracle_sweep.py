@@ -5,17 +5,20 @@
 rebuilds the pattern's lower and upper bounds from the n-1 cut points and
 counts cells twice. It sums each column's doubled cells per share
 denominator as integers and rounds each volume once from the exact
-fraction. The current sweep counts each column's cuts once and reads
-every slot's cells from the counts below and above it; it must return the
-same volumes, bit for bit, including at b where prefix sums tie exactly
-at cell centers and the tie shares (1/2, 1/3, ...) come into play, and at
-any chunk size.
+fraction. The current sweep goes by rows: it sums a row's strictly
+ordered intervals from cumulative table sums and reads only tied columns
+ordering by ordering. It must return the same volumes, bit for bit,
+including at b where prefix sums tie exactly at cell centers and the tie
+shares (1/2, 1/3, ...) come into play, and at any chunk size.
 """
 
+import math
+import tracemalloc
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +29,7 @@ from ordinalwalk.nullmodels import (
     _oracle_sweep,
     _prefix_chunks,
 )
-from ordinalwalk.patterns import _FACT, lex_unrank
+from ordinalwalk.patterns import _FACT, _symmetry_ranks, lex_unrank
 
 
 def reference_sweep(n: int, b: float, resolution: int) -> np.ndarray:
@@ -167,3 +170,36 @@ def test_sweep_matches_reference_where_every_tie_is_a_pair():
     # b = 1 - 34/104 ties only two-step sums: prefix values 0 and 2, and 1
     # and 3, each in pairs, so every share is 1/2 or 1/4
     _assert_same_bits(5, 1.0 - 34 / 104, 52)
+
+
+def test_sweep_matches_reference_when_blocks_split_tied_rows():
+    # a chunk of 7 splits the row list and every tied row's 52 or 400
+    # columns across blocks: zero steps tie three prefix values at n = 5,
+    # and at n = 4 a cell center sits at 0
+    with mock.patch.object(nullmodels, "_SWEEP_CHUNK", 7):
+        _assert_same_bits(5, 1.0 - 33 / 104, 52)
+        _assert_same_bits(4, 0.74875, 400)
+
+
+def test_sweep_memory_stays_bounded_on_tied_rows():
+    # b = 1 - 99/400 ties a step at digit 49, so about 3 in 200 rows are tied
+    # at every column; their columns are read in blocks, so the traced peak
+    # (about 7 MiB) stays under the 19.9 MiB of the column-by-column sweep
+    tracemalloc.start()
+    try:
+        _oracle_sweep.__wrapped__(5, 1.0 - 99 / 400, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 19.8 * 2**20, peak
+
+
+@pytest.mark.parametrize("b", (0.3819660112501051, 0.6180339887))
+def test_sweep_at_benchmark_scale_is_whole_and_symmetric(b):
+    # the benchmark's order and resolution: the volumes total 1, and
+    # reversing the steps maps each pattern's cells onto its
+    # reverse-complement's, so the two volumes agree bit for bit
+    volumes = _oracle_sweep.__wrapped__(4, b, 2000)
+    assert abs(math.fsum(volumes) - 1.0) <= 1e-15
+    partner = _symmetry_ranks(4, "reverse_complement")
+    assert volumes[partner].tobytes() == volumes.tobytes()
