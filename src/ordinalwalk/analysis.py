@@ -136,9 +136,9 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
     """
     with open(path, "rb") as handle:
         data = handle.read().removeprefix(codecs.BOM_UTF8)  # as loadtxt reads it
-    end = len(data.rstrip())
+    end = _stripped_end(data)
     rows = data.count(b"\n", 0, end) + 1 - header if end else 0
-    if rows < 1 or b'"' in data or data.count(b"\r") != data.count(b"\r\n"):
+    if rows < 1 or b'"' in data or (b"\r" in data and data.count(b"\r") != data.count(b"\r\n")):
         return None
     index = column
     if header:  # rows >= 1, so the header line ends in a newline
@@ -164,6 +164,19 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
     if values.size != rows or not np.isfinite(values).all():
         return None
     return values
+
+
+def _stripped_end(data: bytes) -> int:
+    """len(data.rstrip()), stepping back over the trailing whitespace in
+    doubling pieces rather than copying all of data."""
+    end, piece = len(data), 64
+    while end:
+        lo = max(0, end - piece)
+        kept = len(data[lo:end].rstrip())
+        if kept:
+            return lo + kept
+        end, piece = lo, 2 * piece
+    return 0
 
 
 def _parse_rows(path, column: int | str, header: bool) -> list[float]:

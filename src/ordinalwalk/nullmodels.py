@@ -47,6 +47,7 @@ from typing import Literal
 
 import numpy as np
 
+from . import patterns
 from .classes import equivalence_classes
 from .errors import LengthError, OrderError, RangeError
 from .metrics import _kl_rows, kl_divergence
@@ -56,9 +57,10 @@ from .patterns import (
     PatternDistribution,
     TiePolicy,
     _as_values,
+    _block_ranks,
+    _blocks,
     _check_orders,
     _check_span,
-    _lag_ranks,
     _patterns,
     _row_counts,
     _symmetry_ranks,
@@ -101,7 +103,10 @@ class StepModel:
         elif self.family == "empirical":
             if self.steps is None:
                 raise RangeError("empirical needs a step multiset")
-            arr = np.array(self.steps, dtype=np.float64)
+            arr = self.steps
+            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
+                    and not arr.flags.writeable):  # a read-only array is kept, not copied
+                arr = np.array(arr, dtype=np.float64)
             if arr.ndim != 1 or arr.size == 0:
                 raise RangeError("empirical steps must be a nonempty 1d multiset")
             if not np.isfinite(arr).all():
@@ -150,7 +155,8 @@ def _sample_steps(model: StepModel, shape, rng: np.random.Generator) -> np.ndarr
         return rng.uniform(model.b - 1.0, model.b, shape)
     if model.family == "normal":
         return rng.normal(model.mu, model.sigma, shape)
-    return rng.choice(model.steps, size=shape, replace=True)
+    # the draws and generator state of rng.choice(model.steps, shape), without its overhead
+    return model.steps.take(rng.integers(0, model.steps.size, shape))
 
 
 def step_sign_distribution(model: StepModel) -> PatternDistribution:
@@ -269,21 +275,17 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 # the walk sampler, and Monte Carlo
 # --------------------------------------------------------------------------
 
-#: walk values drawn and ranked at a time (one whole walk if it is longer),
-#: which bounds the memory of every sampled null and band; the draws do
-#: not depend on it
-_CHUNK = 1 << 16
-
-
 def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, seed,
                    policy: TiePolicy | None = None):
     """Rank `rows` independent walks of `length` values stepping by model.
 
-    The walks come from `seed` in blocks of whole walks of at most _CHUNK
-    values (or one walk); a jitter policy's noise comes from the first
-    child of `seed`. Yields each block's first row and its _lag_ranks at
-    delay d with stable ties, as a strict rule binds only the series;
-    reduce each before resuming.
+    The walks come from `seed`, drawn and ranked in the blocks of
+    patterns._blocks: whole walks, or a longer walk in blocks that carry
+    over the last values of the block before and sum on from its last
+    value. A jitter policy's noise comes from the first child of `seed`,
+    once per value. The draws do not depend on the blocks. Yields each
+    block's walk slice and its _block_ranks at delay d with stable ties,
+    as a strict rule binds only the series; reduce each before resuming.
     """
     _check_span(length, orders, d)
     rng = np.random.default_rng(seed)
@@ -293,31 +295,42 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
         # the first child of base, derived without spawning, which would change base
         noise = np.random.default_rng(np.random.SeedSequence(
             base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
-    block = max(1, _CHUNK // length)
-    for start in range(0, rows, block):
-        # column-major, so the kernel's loops run down the walks, not along them
-        z = _walks(_sample_steps(model, (min(block, rows - start), length - 1), rng), order="F")
-        if not np.isfinite(z[:, -1]).all():  # a sum that leaves the finite never returns
+    overlap = (max(orders) - 1) * d
+    for walks, lo, hi in _blocks(rows, length, orders, d):
+        if lo == 0:  # whole walks, or a long walk's first block
+            # column-major, so the kernel's loops run down the walks, not along them
+            shape = (walks.stop - walks.start, hi - 1)
+            z = _walks(_sample_steps(model, shape, rng), order="F")
+            fresh = 0
+        else:  # the rest of a long walk, summed on from its last value
+            steps = _sample_steps(model, (1, hi - lo - overlap), rng)
+            steps[:, 0] += end
+            z = np.concatenate((z[:, -overlap:], np.cumsum(steps, axis=-1)), axis=-1)
+            fresh = overlap
+        end = z[:, -1].copy()
+        if not np.isfinite(end).all():  # a sum that leaves the finite never returns
             raise RangeError("series values must be finite")  # as TimeSeries says
         if jitter:
-            z += noise.normal(0.0, policy.jitter_scale, z.shape)
-        yield start, _lag_ranks(z, orders, d)
+            z[:, fresh:] += noise.normal(0.0, policy.jitter_scale, (len(z), hi - lo - fresh))
+        yield walks, _block_ranks(z, orders, d, hi == length)
 
 
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
                   policy: TiePolicy | None = None, windows=slice(None), keep: int = 0):
     """Pattern counts per order of the walks _sampled_ranks draws: summed
-    over the given windows of every walk, and per walk for the first
-    `keep` walks, in the smallest unsigned type that holds a walk's count."""
+    over the given windows of every walk, and per walk, over its blocks,
+    for the first `keep` walks, in the smallest unsigned type that holds a
+    walk's count."""
     pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
-    kept: dict[int, list[np.ndarray]] = {n: [] for n in orders}
-    for start, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
+    kept = {n: np.zeros((keep, _FACT[n]), np.min_scalar_type(length - (n - 1) * d))
+            for n in orders}
+    for walks, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
         for n, ranks in block:
             ranks = ranks[:, windows]
             pooled[n] += np.bincount(ranks.ravel("K"), minlength=_FACT[n])
-            if start < keep:
-                counts = _row_counts(ranks[:keep - start], n)
-                kept[n].append(counts.astype(np.min_scalar_type(ranks.shape[-1])))
+            mine = kept[n][walks]  # a view, empty past the kept walks
+            if len(mine):
+                mine += _row_counts(ranks[:len(mine)], n).astype(mine.dtype)
     return pooled, kept
 
 
@@ -550,7 +563,9 @@ def _own_steps(values: np.ndarray) -> StepModel:
     """The step law of a series: its first differences, resampled."""
     if values.size < 2:
         raise LengthError("need at least two observations to extract steps")
-    return StepModel.empirical(np.diff(values))
+    steps = np.diff(values)
+    steps.setflags(write=False)  # the model keeps these steps rather than a copy
+    return StepModel.empirical(steps)
 
 
 @dataclass(frozen=True)
@@ -671,14 +686,13 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
 def _band(n: int, kept, windows: int, null: PatternDistribution, pool,
           smoothing: float) -> np.ndarray:
     """Divergences from the null of walks with the kept counts of `windows`
-    order-n windows each, scored at most _CHUNK counts at a time. With
-    pooled counts, each walk leaves the pool before it is scored."""
-    counts = np.concatenate(kept)
+    order-n windows each, scored at most patterns._CHUNK counts at a time.
+    With pooled counts, each walk leaves the pool before it is scored."""
     m = null.sample_count - (0 if pool is None else windows)
-    rows = max(1, _CHUNK // _FACT[n])
+    rows = max(1, patterns._CHUNK // _FACT[n])
     return np.concatenate([
         _kl_rows(c / windows, null.weights if pool is None else (pool - c) / m, m, smoothing)
-        for c in (counts[lo:lo + rows] for lo in range(0, len(counts), rows))])
+        for c in (kept[lo:lo + rows] for lo in range(0, len(kept), rows))])
 
 
 def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,

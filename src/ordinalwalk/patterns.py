@@ -6,6 +6,9 @@ the permutation word where word[i] is the rank of x_i among the window
 values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231. Series
 are ranked as lex-rank arrays (_lag_ranks); the patterns themselves come
 from one table per order, _patterns(n), whose entry r has lex rank r.
+This module owns the block size of every rank pass, _CHUNK: a series, a
+stack or a sampled walk (in nullmodels) is ranked block by block
+(_blocks), so no pass holds more than about _CHUNK windows' temporaries.
 
 Main entry points
 -----------------
@@ -73,16 +76,21 @@ class TimeSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise LengthError("series must be one-dimensional and nonempty")
-        if not np.isfinite(arr).all():
-            raise RangeError("series values must be finite")
+        arr = _checked_series(np.array(self.values, dtype=np.float64))
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _checked_series(arr: np.ndarray) -> np.ndarray:
+    """arr, if it is a one-dimensional, nonempty, finite series."""
+    if arr.ndim != 1 or arr.size == 0:
+        raise LengthError("series must be one-dimensional and nonempty")
+    if not np.isfinite(arr).all():
+        raise RangeError("series values must be finite")
+    return arr
 
 
 TieMode = Literal["strict", "stable", "jitter"]
@@ -293,7 +301,7 @@ def _as_values(series) -> np.ndarray:
         if arr.size == 0 or not np.isfinite(arr).all():
             raise RangeError("a series stack must be nonempty and finite")
         return arr
-    return TimeSeries(arr).values
+    return _checked_series(arr)  # only read here, so not copied as TimeSeries copies
 
 
 def _apply_jitter(values: np.ndarray, scale: float, seed) -> np.ndarray:
@@ -311,7 +319,9 @@ def _lag_ranks(x: np.ndarray, orders, d: int):
     rank_{m+1}[t] = m! S_m[t] + rank_m[t+d]. Equal values rank
     earlier-index-smaller; the strict tie rule is _prepared's. Each
     yielded array feeds the next order's ranks, so callers reduce it (to
-    counts, say) without modifying it before resuming.
+    counts, say) without modifying it before resuming. It ranks all of x
+    at once; the passes that bound their memory hand it the blocks of
+    _blocks, whose size this module owns.
     """
     size = x.shape[-1]
     below = np.zeros_like(x, dtype=np.int8)  # S_m, shrinking by d per m
@@ -357,9 +367,46 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
         for k in range(1, max(orders)):
             windows = size - (min(n for n in orders if n > k) - 1) * d
             equal = values[..., k * d:] == values[..., :size - k * d]
-            if equal[..., np.arange(size - k * d) % d < windows].any():
+            if windows < d:  # else the windows reach every pair, and no mask is needed
+                equal = equal[..., np.arange(size - k * d) % d < windows]
+            if equal.any():
                 raise TieError("window contains duplicate values (strict ties)")
     return values
+
+
+#: window starts ranked and counted at a time: the one block size of every
+#: rank pass, here and in the sampler (nullmodels), which bounds its memory;
+#: no count depends on it
+_CHUNK = 1 << 16
+
+
+def _blocks(rows: int, size: int, orders, d: int):
+    """The blocks of a rank pass over `rows` series of `size` values each,
+    as (row slice, lo, hi): values lo..hi-1 of those rows.
+
+    Rows of at most _CHUNK values are taken whole, as many as fit in
+    _CHUNK values. A longer row is taken alone, _CHUNK window starts at a
+    time; consecutive blocks overlap by the top order's span less one,
+    (max(orders) - 1) * d values, so every window lies whole in the block
+    it starts in. _block_ranks counts each window there only.
+    """
+    if size <= _CHUNK:
+        step = _CHUNK // size
+        for start in range(0, rows, step):
+            yield slice(start, min(start + step, rows)), 0, size
+        return
+    overlap = (max(orders) - 1) * d
+    for row in range(rows):
+        for lo in range(0, size - overlap, _CHUNK):
+            yield slice(row, row + 1), lo, min(lo + _CHUNK + overlap, size)
+
+
+def _block_ranks(x: np.ndarray, orders, d: int, last: bool):
+    """_lag_ranks of a block of _blocks, cut to the windows that start in
+    it: all of them in a row's last block, else the first _CHUNK."""
+    owned = slice(None) if last else slice(_CHUNK)
+    for n, ranks in _lag_ranks(x, orders, d):
+        yield n, ranks[..., owned]
 
 
 def pattern_counts(
@@ -371,17 +418,22 @@ def pattern_counts(
     """Window counts per lex rank at every requested order, in one pass.
 
     series is one series, or a 2-D stack with one series per row; the
-    counts of order n then have shape (n!,) or (rows, n!).
+    counts of order n then have shape (n!,) or (rows, n!). The values are
+    ranked and counted in the blocks of _blocks.
     """
     orders = _check_orders(orders)
     values = _prepared(series, orders, d, policy)
-    return {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(values, orders, d)}
+    size = values.shape[-1]
+    stack = values.reshape(-1, size)  # a series is a stack of one row
+    counts = {n: np.zeros((len(stack), _FACT[n]), dtype=np.intp) for n in orders}
+    for rows, lo, hi in _blocks(len(stack), size, orders, d):
+        for n, ranks in _block_ranks(stack[rows, lo:hi], orders, d, hi == size):
+            counts[n][rows] += _row_counts(ranks, n)
+    return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in counts.items()}
 
 
 def _row_counts(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Counts per lex rank of order-n ranks, (n!,) or (rows, n!) for a stack."""
-    if ranks.ndim == 1:
-        return np.bincount(ranks, minlength=_FACT[n])
+    """Counts per lex rank of a stack of order-n ranks, one row each: (rows, n!)."""
     rows = ranks.shape[0]
     offset = np.arange(rows, dtype=np.intp)[:, None] * _FACT[n]
     flat = np.bincount((ranks + offset).ravel("K"), minlength=rows * _FACT[n])

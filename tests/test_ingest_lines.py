@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ordinalwalk import ParseError, ingest_csv
-from ordinalwalk.analysis import _loadtxt_column, _parse_rows
+from ordinalwalk.analysis import _loadtxt_column, _parse_rows, _stripped_end
 
 finite = st.floats(allow_nan=False, allow_infinity=False).map(repr)
 TAILS = ["", "\n", "\n\n", "\n  \n", "\n\t\n", "\n \n\n", "\n\t \n  "]
@@ -71,3 +71,12 @@ def test_a_bad_byte_is_reported_before_any_parse_error(csv_path):
     csv_path.write_bytes(b"abc\n" + b"1.0\n" * 20_000 + b"\xff\n")
     with pytest.raises(ParseError, match=r"line 20002: byte 0xff is not UTF-8"):
         ingest_csv(csv_path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(body=st.binary(max_size=300),
+       tail=st.lists(st.sampled_from(b" \t\n\r\x0b\x0c"), max_size=1000).map(bytes))
+def test_the_end_of_the_content_is_found_without_stripping_the_whole_file(body, tail):
+    # tails past 64 bytes take several doubling pieces to step over
+    data = body + tail
+    assert _stripped_end(data) == len(data.rstrip())

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinalwalk import nullmodels
+from ordinalwalk import nullmodels, patterns
 from ordinalwalk import (
     AnalysisConfig,
     LengthError,
@@ -46,6 +46,15 @@ def test_step_model_validation():
         StepModel.empirical([])
     with pytest.raises(RangeError):
         StepModel.empirical([1.0, np.nan])
+
+
+def test_empirical_steps_copy_a_writable_array_and_keep_a_read_only_one():
+    steps = np.array([1.0, -2.0, 0.5])
+    model = StepModel.empirical(steps)
+    steps[0] = 9.0  # the model holds a read-only copy
+    assert model.steps.tolist() == [1.0, -2.0, 0.5] and not model.steps.flags.writeable
+    steps.setflags(write=False)  # read-only, so the model keeps it rather than a copy
+    assert StepModel.empirical(steps).steps is steps
 
 
 def test_step_sign_distribution():
@@ -291,14 +300,17 @@ def test_bootstrap_band_all_orders_match_one_at_a_time():
 
 
 def test_bootstrap_band_blocks_do_not_change_the_draws(monkeypatch):
-    # the walks are drawn, ranked and scored in blocks of rows to bound
-    # memory; the replicate walks are the same rows of one stream whatever the block
+    # the walks are drawn, ranked and scored in blocks of rows, or a walk
+    # in several blocks, to bound memory; the replicate walks are the same
+    # rows of one stream, and a walk's counts the same, whatever the block
     series = generate(GeneratorSpec("walk", 300, seed=8, step=StepModel.uniform(0.6)))
     given = NullSpec(StepModel.uniform(0.6), closed_form=True)
     whole = _bands(series, (4,), 7, seed=2) + _bands(series, (4,), 7, spec=given, band_seed=2)
-    monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
-    blocked = _bands(series, (4,), 7, seed=2) + _bands(series, (4,), 7, spec=given, band_seed=2)
-    assert [band.tobytes() for band in blocked] == [band.tobytes() for band in whole]
+    for chunk in (2 * 300, 70):
+        monkeypatch.setattr(patterns, "_CHUNK", chunk)
+        blocked = (_bands(series, (4,), 7, seed=2)
+                   + _bands(series, (4,), 7, spec=given, band_seed=2))
+        assert [band.tobytes() for band in blocked] == [band.tobytes() for band in whole]
 
 
 def test_bootstrap_band_blocks_do_not_change_the_jitter(monkeypatch):
@@ -307,9 +319,10 @@ def test_bootstrap_band_blocks_do_not_change_the_jitter(monkeypatch):
                                 ).values, 2)
     jitter = TiePolicy("jitter", jitter_scale=0.05)
     whole, = _bands(series, (4,), 7, seed=2, policy=jitter)
-    monkeypatch.setattr(nullmodels, "_CHUNK", 2 * 300)
-    blocked, = _bands(series, (4,), 7, seed=2, policy=jitter)
-    assert blocked.tobytes() == whole.tobytes()
+    for chunk in (2 * 300, 70):
+        monkeypatch.setattr(patterns, "_CHUNK", chunk)
+        blocked, = _bands(series, (4,), 7, seed=2, policy=jitter)
+        assert blocked.tobytes() == whole.tobytes()
 
 
 def test_bootstrap_band_jitter_gives_a_spread():

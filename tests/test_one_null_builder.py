@@ -1,5 +1,5 @@
 """build_nulls is the one null builder. A parametric Monte Carlo null is one
-stack of walks at the top order, drawn in row blocks of nullmodels._CHUNK
+stack of walks at the top order, drawn in row blocks of patterns._CHUNK
 values, and each order counts the walks' leading values; these tests hold
 it to the per-order Monte Carlo draw it replaced and to a one-shot draw."""
 
@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinalwalk import nullmodels
+from ordinalwalk import patterns
 from ordinalwalk import (
     NullSpec,
     PatternDistribution,
@@ -21,8 +21,8 @@ from ordinalwalk import (
     monte_carlo_distribution,
     pattern_counts,
 )
-from ordinalwalk.nullmodels import _lag_ranks, _sample_steps, _walks
-from ordinalwalk.patterns import _FACT, _check_order
+from ordinalwalk.nullmodels import _sample_steps, _walks
+from ordinalwalk.patterns import _FACT, _check_order, _lag_ranks
 
 
 def _previous_monte_carlo(model, n, samples, seed=0):
@@ -35,7 +35,7 @@ def _previous_monte_carlo(model, n, samples, seed=0):
     counts = np.zeros(_FACT[n], dtype=np.int64)
     remaining = samples
     while remaining > 0:
-        k = min(nullmodels._CHUNK // n, remaining)
+        k = min(patterns._CHUNK // n, remaining)
         # column-major, so the kernel's loops run down k walks, not along n
         z = _walks(_sample_steps(model, (k, n - 1), rng), order="F")
         _, ranks = next(_lag_ranks(z, (n,), 1))
@@ -69,7 +69,7 @@ def _one_shot_steps(model, shape, rng):
 def test_monte_carlo_matches_the_per_order_draw(model, n, samples, blocks, seed):
     # _CHUNK small enough that the samples span `blocks` row blocks
     chunk = n * max(1, -(-samples // blocks))
-    with patch.object(nullmodels, "_CHUNK", chunk):
+    with patch.object(patterns, "_CHUNK", chunk):
         got = monte_carlo_distribution(model, n, samples, seed)
         want = _previous_monte_carlo(model, n, samples, seed)
     assert got.weights.tobytes() == want.weights.tobytes()
@@ -82,7 +82,7 @@ def test_monte_carlo_matches_the_per_order_draw(model, n, samples, blocks, seed)
 def test_parametric_nulls_count_the_leading_values_of_one_draw(model, orders, samples,
                                                                 chunk, seed):
     orders = tuple(orders)
-    with patch.object(nullmodels, "_CHUNK", chunk):
+    with patch.object(patterns, "_CHUNK", chunk):
         nulls = build_nulls([0.0, 1.0], orders, NullSpec(model, samples=samples), seed)
     top = max(orders)
     steps = _one_shot_steps(model, (samples, top - 1), np.random.default_rng(seed))
@@ -122,3 +122,18 @@ def test_build_null_is_build_nulls_at_one_order(name, seed):
 def test_empty_orders_raise_for_every_family(name):
     with pytest.raises(RangeError, match="need at least one order"):
         build_nulls(_SERIES, (), _SPECS[name], 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(size=st.sampled_from([1, 2, 5, 1000, 65_537, 3_000_000]), rows=st.integers(1, 4),
+       cuts=st.lists(st.integers(1, 40), min_size=1, max_size=5), seed=st.integers(0, 2 ** 32))
+def test_empirical_draws_are_rng_choice(size, rows, cuts, seed):
+    # whole rows, and one walk's steps cut at uneven points, as the
+    # sampler draws them: the values and the generator state of rng.choice
+    model = StepModel.empirical(np.arange(size, dtype=np.float64) - size / 3)
+    got, want = np.random.default_rng(seed), np.random.default_rng(seed)
+    whole = _sample_steps(model, (rows, sum(cuts)), got)
+    assert whole.tobytes() == want.choice(model.steps, (rows, sum(cuts))).tobytes()
+    pieces = np.concatenate([_sample_steps(model, (1, cut), got) for cut in cuts], axis=1)
+    assert pieces.tobytes() == want.choice(model.steps, (1, sum(cuts))).tobytes()
+    assert got.bit_generator.state == want.bit_generator.state

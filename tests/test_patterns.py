@@ -1,12 +1,14 @@
 """Pattern extraction mechanics: standardize, ranking, symmetries, windows."""
 
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from ordinalwalk import patterns
 from ordinalwalk import (
     LengthError,
     OrdinalPattern,
@@ -394,6 +396,15 @@ class TestLagKernelAgainstPairwise:
     def test_ties_at_a_multiple_of_the_delay_match(self, case):
         _check_against_pairwise(case)
 
+    @given(st.one_of(kernel_cases(), lag_tie_cases()),
+           st.one_of(st.integers(1, 8), st.integers(1, 200)))
+    @settings(max_examples=400, deadline=None)
+    def test_counts_do_not_depend_on_the_block(self, case, chunk):
+        # blocks smaller than a row split it, at every order, delay and
+        # tie mode; blocks of several short rows split a stack
+        with patch.object(patterns, "_CHUNK", chunk):
+            _check_against_pairwise(case)
+
 
 def _strict(values, orders, d=1):
     return pattern_counts(np.array(values, dtype=float), orders, d, TiePolicy("strict"))
@@ -452,3 +463,23 @@ def test_kernel_memory_on_a_long_walk():
     finally:
         tracemalloc.stop()
     assert peak < 48 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def _traced_peak(call) -> float:
+    """The traced allocation peak of call(), in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def test_counts_of_a_long_walk_are_ranked_in_blocks():
+    # a series is ranked _CHUNK windows at a time: 12.4 MiB when it was
+    # ranked whole, and 8 MiB more when a raw array was copied first
+    walk = np.cumsum(np.random.default_rng(3).normal(size=1_000_000))
+    peak = _traced_peak(lambda: pattern_counts(walk, range(2, 8)))
+    assert peak <= 2, f"peak {peak:.1f} MiB"
+    peak = _traced_peak(lambda: pattern_counts(walk, (4, 5), policy=TiePolicy("strict")))
+    assert peak <= 4, f"strict peak {peak:.1f} MiB"

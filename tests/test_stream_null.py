@@ -1,7 +1,9 @@
-"""The associated null is drawn and ranked in blocks of whole walks of at
-most nullmodels._CHUNK values; these tests hold its counts bit for bit to
-those of one one-shot (rows, length) stack of the series' resampled steps,
-ranked by pattern_counts, and bound the memory the blocks hold."""
+"""The associated null is drawn and ranked in the blocks of
+patterns._blocks: whole walks of at most patterns._CHUNK values, or a
+longer walk _CHUNK window starts at a time; these tests hold its counts
+bit for bit to those of one one-shot (rows, length) stack of the series'
+resampled steps, ranked by pattern_counts, and bound the memory the
+blocks hold."""
 
 import tracemalloc
 from unittest.mock import patch
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinalwalk import nullmodels
+from ordinalwalk import patterns
 from ordinalwalk import (
     LengthError,
     NullSpec,
@@ -83,7 +85,7 @@ def _cases(draw):
 def test_blocked_null_matches_the_one_shot_stack(case):
     values, orders, d, mode, scale, chunk, length, seed = case
     policy = TiePolicy(mode, jitter_scale=scale)
-    with patch.object(nullmodels, "_CHUNK", chunk):
+    with patch.object(patterns, "_CHUNK", chunk):
         got = _streamed(values, orders, length, seed, d, policy)
     assert got == _one_shot(values, orders, length, seed, d, scale)
 
@@ -92,7 +94,7 @@ def test_blocked_null_matches_the_one_shot_stack(case):
 def test_streamed_null_on_a_long_tied_walk(chunk):
     values = np.cumsum(np.random.default_rng(4).integers(-1, 2, 300)).astype(float)
     orders = (3, 5, 7)
-    with patch.object(nullmodels, "_CHUNK", chunk):
+    with patch.object(patterns, "_CHUNK", chunk):
         got = _streamed(values, orders, 5003, np.random.SeedSequence(7, spawn_key=(2,)))
     assert got == _one_shot(values, orders, 5003, np.random.SeedSequence(7, spawn_key=(2,)))
     # ceil(5003 / 300) = 17 walks of 300 values, 300 - n + 1 windows each
@@ -100,7 +102,7 @@ def test_streamed_null_on_a_long_tied_walk(chunk):
 
 
 def test_streamed_null_keeps_the_one_shot_errors():
-    with patch.object(nullmodels, "_CHUNK", 4):
+    with patch.object(patterns, "_CHUNK", 4):
         # a single observation has no steps
         assert _streamed([1.0], (3,), 10, 0) == (
             LengthError, "need at least two observations to extract steps")
@@ -114,7 +116,7 @@ def test_streamed_null_keeps_the_one_shot_errors():
                                    StepModel.empirical([-1.0, 0.0, 0.0, 2.0])])
 def test_monte_carlo_does_not_depend_on_the_block(model):
     whole = monte_carlo_distribution(model, 5, 3001, seed=3)
-    with patch.object(nullmodels, "_CHUNK", 70):
+    with patch.object(patterns, "_CHUNK", 70):
         blocked = monte_carlo_distribution(model, 5, 3001, seed=3)
     assert blocked.weights.tobytes() == whole.weights.tobytes()
     assert blocked.sample_count == whole.sample_count == 3001
@@ -133,3 +135,20 @@ def test_associated_null_memory_on_a_long_series():
         tracemalloc.stop()
     assert [null.sample_count for null in nulls] == [100 * (10 ** 5 - 3), 100 * (10 ** 5 - 4)]
     assert peak < 8 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_long_walks_are_drawn_and_ranked_in_blocks():
+    # two walks of a 1e6-point series, each longer than a block: drawn and
+    # ranked whole they took 34 MiB beyond the step multiset the null
+    # keeps (8 MiB of it), and 8 MiB more for a copy of the raw series
+    values = np.cumsum(np.random.default_rng(6).normal(size=1_000_000))
+    tracemalloc.start()
+    try:
+        nulls = build_nulls(values, (4, 5), NullSpec(walk_length=2_000_000), seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [null.sample_count for null in nulls] == [2 * (10 ** 6 - 3), 2 * (10 ** 6 - 4)]
+    steps = nulls[0].step_model.steps
+    assert steps.nbytes == 8 * (10 ** 6 - 1)
+    assert peak - steps.nbytes <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
