@@ -21,6 +21,11 @@ band is the first R walks, each scored against the null less its own
 walk (leave-one-out), so the band measures replicate noise around the
 null the series (kl_to_model) is held to. A parametric or closed-form
 null's band draws R walks of the series' own steps from a key of its own.
+Every draw counts each window once, at the top order, as pattern_counts
+does: a lower order's counts are the top counts summed over patterns
+that share its prefix, plus its own windows past the top order's. A
+parametric null's walks hold one top-order window each, so it counts
+that window and folds it down.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
 through the step sign flip, which maps b to 1-b and every pattern to its
@@ -61,6 +66,9 @@ from .patterns import (
     _blocks,
     _check_orders,
     _check_span,
+    _fold,
+    _folded,
+    _past_top,
     _patterns,
     _row_counts,
     _symmetry_ranks,
@@ -144,9 +152,20 @@ class StepModel:
 
 
 def _walks(steps: np.ndarray, order="C") -> np.ndarray:
-    """Walks from 0 along the last axis, one step per entry of steps."""
+    """Walks from 0 along the last axis, one step per entry of steps.
+
+    cumsum runs walk by walk, so when there are fewer steps per walk than
+    walks the walks are summed a column at a time instead: the same
+    additions in the same order, so the same values bit for bit.
+    """
     z = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), order=order)
-    np.cumsum(steps, axis=-1, out=z[..., 1:])
+    width = steps.shape[-1]
+    if width * width < steps.size:  # width < steps.size / width walks
+        z[..., 1] = steps[..., 0]
+        for k in range(1, width):
+            np.add(z[..., k], steps[..., k], out=z[..., k + 1])
+    else:
+        np.cumsum(steps, axis=-1, out=z[..., 1:])
     return z
 
 
@@ -316,22 +335,24 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
 
 
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
-                  policy: TiePolicy | None = None, windows=slice(None), keep: int = 0):
+                  policy: TiePolicy | None = None, keep: int = 0):
     """Pattern counts per order of the walks _sampled_ranks draws: summed
-    over the given windows of every walk, and per walk, over its blocks,
-    for the first `keep` walks, in the smallest unsigned type that holds a
-    walk's count."""
+    over every walk, and per walk, over its blocks, for the first `keep`
+    walks, in the smallest unsigned type that holds a walk's count. Each
+    window is counted once, at the top order (patterns._folded); the pool
+    is the kept walks' own counts plus one bincount of the rest."""
     pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
     kept = {n: np.zeros((keep, _FACT[n]), np.min_scalar_type(length - (n - 1) * d))
             for n in orders}
     for walks, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
-        for n, ranks in block:
-            ranks = ranks[:, windows]
-            pooled[n] += np.bincount(ranks.ravel("K"), minlength=_FACT[n])
+        for n, ranks in _past_top(block, max(orders), d):
             mine = kept[n][walks]  # a view, empty past the kept walks
             if len(mine):
                 mine += _row_counts(ranks[:len(mine)], n).astype(mine.dtype)
-    return pooled, kept
+            pooled[n] += np.bincount(ranks[len(mine):].ravel("K"), minlength=_FACT[n])
+    for n, c in pooled.items():
+        c += kept[n].sum(axis=0, dtype=np.int64)
+    return _folded(pooled), _folded(kept)
 
 
 def monte_carlo_distribution(
@@ -669,9 +690,11 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
             budget = -(-(spec.walk_length or default_walk_length(values.size)) // length)
             counts, kept = _drawn_counts(step, max(replicates, budget), length, orders, d,
                                          seed, policy, keep=replicates)
-        else:  # the step law itself: each walk's leading window, at delay 1 unjittered
-            counts, _ = _drawn_counts(step, spec.samples, max(orders), orders, 1, seed,
-                                      windows=0)
+        else:  # the step law itself: walks of one top-order window, at delay 1
+            # unjittered, each order counting its leading values
+            top = max(orders)
+            drawn, _ = _drawn_counts(step, spec.samples, top, (top,), 1, seed)
+            counts = {n: _fold(drawn[top], top, n, np.int64) for n in orders}
         dists = {n: PatternDistribution(n, c / c.sum(), "model", int(c.sum()))
                  for n, c in counts.items()}
     if replicates and not own:  # a given null's band draws walks of its own

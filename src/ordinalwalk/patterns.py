@@ -9,6 +9,11 @@ from one table per order, _patterns(n), whose entry r has lex rank r.
 This module owns the block size of every rank pass, _CHUNK: a series, a
 stack or a sampled walk (in nullmodels) is ranked block by block
 (_blocks), so no pass holds more than about _CHUNK windows' temporaries.
+A pass counts each window once, at its top order n: the order-m window
+at start t is the first m values of the order-n window at t, so order m's
+counts are the top counts summed over the patterns that share an order-m
+prefix (_fold), plus order m's own windows past the top order's last
+start, which only a row's last block holds (_past_top, _folded).
 
 Main entry points
 -----------------
@@ -211,7 +216,7 @@ class PatternDistribution:
 
     def as_dict(self) -> dict[str, float]:
         """Weights keyed by pattern string, in lexicographic order."""
-        return {str(p): float(w) for p, w in zip(_patterns(self.order), self.weights)}
+        return dict(zip(_pattern_strings(self.order), self.weights.tolist()))
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +239,12 @@ def _patterns(n: int) -> tuple[OrdinalPattern, ...]:
     """Every order-n pattern, the one at index r of lex rank r; built once
     per order. permutations() of a sorted sequence yields lex order."""
     return tuple(map(OrdinalPattern, permutations(range(1, _check_order(n) + 1))))
+
+
+@lru_cache(maxsize=None)
+def _pattern_strings(n: int) -> tuple[str, ...]:
+    """str() of every order-n pattern, in lex order; built once per order."""
+    return tuple(map(str, _patterns(n)))
 
 
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
@@ -318,9 +329,9 @@ def _lag_ranks(x: np.ndarray, orders, d: int):
     (the Lehmer code): with S_m = c_1 + ... + c_m,
     rank_{m+1}[t] = m! S_m[t] + rank_m[t+d]. Equal values rank
     earlier-index-smaller; the strict tie rule is _prepared's. Each
-    yielded array feeds the next order's ranks, so callers reduce it (to
-    counts, say) without modifying it before resuming. It ranks all of x
-    at once; the passes that bound their memory hand it the blocks of
+    yielded array feeds the next order's ranks, so callers must not
+    modify it; it is never modified after it is yielded. It ranks all of
+    x at once; the passes that bound their memory hand it the blocks of
     _blocks, whose size this module owns.
     """
     size = x.shape[-1]
@@ -409,6 +420,63 @@ def _block_ranks(x: np.ndarray, orders, d: int, last: bool):
         yield n, ranks[..., owned]
 
 
+def _past_top(block, top: int, d: int):
+    """The (n, ranks) of a block of _block_ranks that a pass counts: the
+    top order's, and each lower order's windows past the top order's. The
+    rest are prefixes of top-order windows, which _folded counts from the
+    top. Only a row's last block has windows past the top order's, the last
+    (top - n) d of order n (any other block cuts every order to _CHUNK
+    starts), so those are held until the top order's ranks show whether
+    they are past them."""
+    tails = []
+    for n, ranks in block:
+        size = ranks.shape[-1]
+        if n < top:
+            tails.append((n, size, ranks[..., max(0, size - (top - n) * d):].copy()))
+            continue
+        for m, held, tail in tails:
+            yield m, tail[..., tail.shape[-1] - (held - size):]
+        yield n, ranks
+
+
+@lru_cache(maxsize=None)
+def _prefix_groups(n: int) -> dict[int, np.ndarray]:
+    """For each order m in 2..n, the order-n lex ranks grouped by their
+    order-m prefix: row r of the (m!, n!/m!) reshape holds the order-n
+    patterns whose first m entries have the pattern of lex rank r. One
+    _lag_ranks pass over every order-n word ranks every prefix: a word's
+    order-m window at start 0 is its order-m prefix. Built once per order."""
+    words = np.array(list(permutations(range(n))), dtype=np.int8)  # in lex order
+    groups = {m: np.argsort(ranks[:, 0], kind="stable")
+              for m, ranks in _lag_ranks(words, range(2, n + 1), 1)}
+    for table in groups.values():
+        table.setflags(write=False)
+    return groups
+
+
+def _fold(counts: np.ndarray, n: int, m: int, dtype) -> np.ndarray:
+    """Order-m counts, in dtype, of the order-m prefixes of the windows
+    whose order-n counts run along the last axis of counts."""
+    groups = counts[..., _prefix_groups(n)[m]]
+    return groups.reshape(counts.shape[:-1] + (_FACT[m], _FACT[n] // _FACT[m])).sum(
+        axis=-1, dtype=dtype)
+
+
+def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
+    """The counts a pass took of _past_top's ranks, completed in place:
+    each lower order's plus the top order's folded down to it."""
+    top = max(counts)
+    for n, c in counts.items():
+        if n < top:
+            c += _fold(counts[top], top, n, c.dtype)
+    return counts
+
+
+#: the most counts pattern_counts allocates, rows times n! summed over the
+#: counted orders: 64 Mi counts are 512 MiB of intp
+_MAX_STACK_COUNTS = 1 << 26
+
+
 def pattern_counts(
     series,
     orders: Iterable[int],
@@ -419,17 +487,25 @@ def pattern_counts(
 
     series is one series, or a 2-D stack with one series per row; the
     counts of order n then have shape (n!,) or (rows, n!). The values are
-    ranked and counted in the blocks of _blocks.
+    ranked and counted in the blocks of _blocks, each window once, at the
+    top order; _folded gives the lower orders. A stack whose counts, rows
+    times n! summed over the orders, exceed _MAX_STACK_COUNTS raises
+    RangeError before they are allocated.
     """
     orders = _check_orders(orders)
     values = _prepared(series, orders, d, policy)
     size = values.shape[-1]
     stack = values.reshape(-1, size)  # a series is a stack of one row
+    cells = len(stack) * sum(_FACT[n] for n in orders)
+    if cells > _MAX_STACK_COUNTS:
+        raise RangeError(f"{len(stack)} rows at orders {orders} need {cells} counts, "
+                         f"more than {_MAX_STACK_COUNTS}")
     counts = {n: np.zeros((len(stack), _FACT[n]), dtype=np.intp) for n in orders}
     for rows, lo, hi in _blocks(len(stack), size, orders, d):
-        for n, ranks in _block_ranks(stack[rows, lo:hi], orders, d, hi == size):
+        block = _block_ranks(stack[rows, lo:hi], orders, d, hi == size)
+        for n, ranks in _past_top(block, orders[-1], d):
             counts[n][rows] += _row_counts(ranks, n)
-    return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in counts.items()}
+    return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in _folded(counts).items()}
 
 
 def _row_counts(ranks: np.ndarray, n: int) -> np.ndarray:
