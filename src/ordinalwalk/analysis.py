@@ -23,7 +23,7 @@ import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ from .patterns import (
     PatternDistribution,
     TiePolicy,
     TimeSeries,
-    _apply_jitter,
     _as_series,
     _check_orders,
     _pattern_strings,
@@ -163,6 +162,7 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
         return None
     if values.size != rows or not np.isfinite(values).all():
         return None
+    values.setflags(write=False)  # frozen, so TimeSeries keeps it without a copy
     return values
 
 
@@ -303,11 +303,10 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
     ts = _as_series(series)
     base = np.random.SeedSequence(config.seed, spawn_key=(window_start,))
     null_key, band_key, jitter_key = base.spawn(3)
-    values, policy = ts, config.policy
+    policy = config.policy
     if policy is not None and policy.mode == "jitter":
-        # rank a copy jittered from the run's key, with stable ties
-        values, policy = _apply_jitter(ts.values, policy.jitter_scale, jitter_key), None
-    empiricals = empirical_distributions(values, (2,) + config.orders, config.delay, policy)
+        policy = replace(policy, seed=jitter_key)
+    empiricals = empirical_distributions(ts, (2,) + config.orders, config.delay, policy)
     dist2 = empiricals[2]
     runs = []
     for null, band in _nulls_and_bands(ts, config.orders, config.null, null_key, config.delay,

@@ -28,7 +28,7 @@ from .patterns import (
     OrdinalPattern,
     PatternDistribution,
     _check_order,
-    _patterns,
+    _pattern_strings,
     _symmetry_ranks,
 )
 
@@ -134,8 +134,8 @@ class EquivalenceClassTable:
 
     def as_strings(self) -> list[list[str]]:
         """Classes as lists of pattern strings, for JSON export."""
-        patterns = _patterns(self.order)
-        return [[str(patterns[r]) for r in g] for g in self.classes]
+        strings = _pattern_strings(self.order)
+        return [[strings[r] for r in g] for g in self.classes]
 
 
 @lru_cache(maxsize=None)
@@ -151,9 +151,8 @@ def equivalence_classes(n: int) -> EquivalenceClassTable:
     table = _TABLES.get(n)
     if table is None:
         raise OrderError(f"class tables exist for n in {tuple(_TABLES)}, got {n}")
-    groups = tuple(
-        tuple(OrdinalPattern.from_string(s).rank for s in g) for g in table
-    )
+    rank = {s: r for r, s in enumerate(_pattern_strings(n))}
+    groups = tuple(tuple(rank[s] for s in g) for g in table)
     return EquivalenceClassTable(n, groups, "reference")
 
 

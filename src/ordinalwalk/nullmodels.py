@@ -68,12 +68,12 @@ from .patterns import (
     _check_span,
     _fold,
     _folded,
-    _past_top,
-    _patterns,
+    _frozen,
+    _prefix_groups,
     _row_counts,
     _symmetry_ranks,
+    _words,
     empirical_distribution,
-    lex_rank,
 )
 
 # --------------------------------------------------------------------------
@@ -111,15 +111,11 @@ class StepModel:
         elif self.family == "empirical":
             if self.steps is None:
                 raise RangeError("empirical needs a step multiset")
-            arr = self.steps
-            if not (isinstance(arr, np.ndarray) and arr.dtype == np.float64
-                    and not arr.flags.writeable):  # a read-only array is kept, not copied
-                arr = np.array(arr, dtype=np.float64)
+            arr = _frozen(self.steps)
             if arr.ndim != 1 or arr.size == 0:
                 raise RangeError("empirical steps must be a nonempty 1d multiset")
             if not np.isfinite(arr).all():
                 raise RangeError("empirical steps must be finite")
-            arr.setflags(write=False)
             object.__setattr__(self, "steps", arr)
             if self.b is not None or self.mu is not None or self.sigma is not None:
                 raise RangeError("empirical takes only steps")
@@ -259,7 +255,7 @@ def closed_form_uniform(n: int, b: float) -> PatternDistribution:
     return PatternDistribution(n, weights, "model", 0)
 
 
-def _normal_orthant(word: tuple[int, ...]) -> float:
+def _normal_orthant(word: np.ndarray) -> float:
     # the pattern holds iff every difference between value-adjacent entries
     # is positive; row k holds the signed steps that sum to difference k
     n = len(word)
@@ -286,7 +282,7 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
     """
     if n not in (3, 4):
         raise OrderError(f"closed forms exist for n in (3, 4), got {n}")
-    weights = [_normal_orthant(p.word) for p in _patterns(n)]
+    weights = [_normal_orthant(word) for word in _words(n)]
     return PatternDistribution(n, weights, "model", 0)
 
 
@@ -304,7 +300,9 @@ def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, see
     value. A jitter policy's noise comes from the first child of `seed`,
     once per value. The draws do not depend on the blocks. Yields each
     block's walk slice and its _block_ranks at delay d with stable ties,
-    as a strict rule binds only the series; reduce each before resuming.
+    as a strict rule binds only the series: the top order's windows that
+    start in the block and, in a walk's last block, each lower order's
+    windows past the top order's. Reduce each before resuming.
     """
     _check_span(length, orders, d)
     rng = np.random.default_rng(seed)
@@ -345,7 +343,7 @@ def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed
     kept = {n: np.zeros((keep, _FACT[n]), np.min_scalar_type(length - (n - 1) * d))
             for n in orders}
     for walks, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
-        for n, ranks in _past_top(block, max(orders), d):
+        for n, ranks in block:
             mine = kept[n][walks]  # a view, empty past the kept walks
             if len(mine):
                 mine += _row_counts(ranks[:len(mine)], n).astype(mine.dtype)
@@ -457,18 +455,17 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     float partial sum an exact integer.
     """
     m = n - 1
-    words = [p.word for p in _patterns(m)]
+    words = _words(m)
     spare = len(words)  # prefix orders: the most a tied column's share is split
-    pairs = list(combinations(range(m), 2))
-    earlier, later = np.array(pairs).T
+    earlier, later = np.array(list(combinations(range(m), 2))).T
     lane = later - earlier - 1  # each pair's row of the tables below
     # above[u, p]: prefix u puts the later entry of pair p above the earlier
-    above = np.array([[w[c] > w[a] for a, c in pairs] for w in words])
+    above = words[:, later] > words[:, earlier]
     # order[u]: prefix u's positions from its lowest value up; ranks[u, j]:
-    # the pattern ordered as u whose last entry is the (j+1)-th lowest
+    # the pattern ordered as u whose last entry is the (j+1)-th lowest, from
+    # u's prefix group, whose lex ranks fall as that last entry rises
     order = np.argsort(words, axis=1)
-    ranks = np.array([[lex_rank(OrdinalPattern(tuple(r + (r > j) for r in w) + (j + 1,)))
-                       for j in range(n)] for w in words])
+    ranks = _prefix_groups(n)[m].reshape(spare, n)[:, ::-1]
     descent = np.array([_FACT[m - 1 - a] for a in earlier])  # lex rank weights
     # a row fixes the pairs within its first m-1 prefix values; the last
     # value passes prefix value a at cut pair (a, m-1), itself at no step

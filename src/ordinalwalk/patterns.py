@@ -3,9 +3,9 @@ and empirical pattern distributions.
 
 The rank convention throughout: the pattern of a window (x_1, ..., x_n) is
 the permutation word where word[i] is the rank of x_i among the window
-values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231. Series
-are ranked as lex-rank arrays (_lag_ranks); the patterns themselves come
-from one table per order, _patterns(n), whose entry r has lex rank r.
+values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231. One
+ranker, _lag_ranks, ranks series, walks and words, and every per-order
+table comes from one word array per order, _words(n), row r of lex rank r.
 This module owns the block size of every rank pass, _CHUNK: a series, a
 stack or a sampled walk (in nullmodels) is ranked block by block
 (_blocks), so no pass holds more than about _CHUNK windows' temporaries.
@@ -13,7 +13,7 @@ A pass counts each window once, at its top order n: the order-m window
 at start t is the first m values of the order-n window at t, so order m's
 counts are the top counts summed over the patterns that share an order-m
 prefix (_fold), plus order m's own windows past the top order's last
-start, which only a row's last block holds (_past_top, _folded).
+start, which _block_ranks yields from a row's last block (_folded).
 
 Main entry points
 -----------------
@@ -74,19 +74,27 @@ class TimeSeries:
     Parameters
     ----------
     values : array_like
-        One-dimensional, nonempty, all values finite. Stored as a
-        read-only float64 array.
+        One-dimensional, nonempty, all values finite. A read-only float64
+        array is kept as it is; anything else is copied, and the copy frozen.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _checked_series(np.array(self.values, dtype=np.float64))
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _checked_series(_frozen(self.values)))
 
     def __len__(self) -> int:
         return int(self.values.size)
+
+
+def _frozen(values) -> np.ndarray:
+    """values as a read-only float64 array: one already is kept, and
+    anything else is copied and the copy frozen, the caller's array untouched."""
+    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        values = np.array(values, dtype=np.float64)
+        values.setflags(write=False)
+    return values
 
 
 def _checked_series(arr: np.ndarray) -> np.ndarray:
@@ -106,13 +114,13 @@ class TiePolicy:
     """How equal values within a window are ranked.
 
     stable (the default) ranks the earlier index as smaller; strict raises
-    TieError on any duplicate; jitter adds seeded normal noise of scale
-    jitter_scale to the values before ranking.
+    TieError on any duplicate; jitter adds normal noise of scale
+    jitter_scale, drawn from seed (an int or a SeedSequence), before ranking.
     """
 
     mode: TieMode = "stable"
     jitter_scale: float = 0.0
-    seed: int = 0
+    seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
         if self.mode not in ("strict", "stable", "jitter"):
@@ -235,16 +243,25 @@ def lex_rank(pattern: OrdinalPattern) -> int:
 
 
 @lru_cache(maxsize=None)
+def _words(n: int) -> np.ndarray:
+    """Every order-n word as a read-only (n!, n) int8 array, row r of lex
+    rank r: permutations() of a sorted sequence yields lex order."""
+    words = np.array(list(permutations(range(1, _check_order(n) + 1))), dtype=np.int8)
+    words.setflags(write=False)
+    return words
+
+
+@lru_cache(maxsize=None)
 def _patterns(n: int) -> tuple[OrdinalPattern, ...]:
-    """Every order-n pattern, the one at index r of lex rank r; built once
-    per order. permutations() of a sorted sequence yields lex order."""
-    return tuple(map(OrdinalPattern, permutations(range(1, _check_order(n) + 1))))
+    """Every order-n pattern, for the public functions that return them."""
+    return tuple(map(OrdinalPattern, _words(n).tolist()))
 
 
 @lru_cache(maxsize=None)
 def _pattern_strings(n: int) -> tuple[str, ...]:
-    """str() of every order-n pattern, in lex order; built once per order."""
-    return tuple(map(str, _patterns(n)))
+    """str() of every order-n pattern in lex order, read off _words(n)."""
+    text = (_words(n) + ord("0")).tobytes().decode()
+    return tuple(text[i:i + n] for i in range(0, len(text), n))
 
 
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
@@ -289,8 +306,13 @@ def symmetry_transform(
 @lru_cache(maxsize=None)
 def _symmetry_ranks(n: int, kind: str) -> np.ndarray:
     """Read-only intp array mapping each lex rank of order n to the rank
-    of its symmetry_transform under kind; built once per (n, kind)."""
-    ranks = np.array([symmetry_transform(p, kind).rank for p in _patterns(n)], dtype=np.intp)
+    of its symmetry_transform under kind, from the transformed words."""
+    if kind not in ("complement", "reverse", "reverse_complement"):
+        raise RangeError(f"unknown symmetry {kind!r}")
+    words = _words(n) if kind == "complement" else _words(n)[:, ::-1]
+    if kind != "reverse":
+        words = n + 1 - words
+    ranks = next(_lag_ranks(words, (n,), 1))[1][:, 0].astype(np.intp)  # a word is a window
     ranks.setflags(write=False)
     return ranks
 
@@ -312,12 +334,7 @@ def _as_values(series) -> np.ndarray:
         if arr.size == 0 or not np.isfinite(arr).all():
             raise RangeError("a series stack must be nonempty and finite")
         return arr
-    return _checked_series(arr)  # only read here, so not copied as TimeSeries copies
-
-
-def _apply_jitter(values: np.ndarray, scale: float, seed) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return values + rng.normal(0.0, scale, size=values.shape)
+    return _checked_series(arr)  # only read here, so never copied
 
 
 def _lag_ranks(x: np.ndarray, orders, d: int):
@@ -373,7 +390,8 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
     size = values.shape[-1]
     _check_span(size, orders, d)
     if policy.mode == "jitter":
-        values = _apply_jitter(values, policy.jitter_scale, policy.seed)
+        noise = np.random.default_rng(policy.seed).normal(0.0, policy.jitter_scale, values.shape)
+        values = values + noise
     if policy.mode == "strict":
         for k in range(1, max(orders)):
             windows = size - (min(n for n in orders if n > k) - 1) * d
@@ -413,30 +431,18 @@ def _blocks(rows: int, size: int, orders, d: int):
 
 
 def _block_ranks(x: np.ndarray, orders, d: int, last: bool):
-    """_lag_ranks of a block of _blocks, cut to the windows that start in
-    it: all of them in a row's last block, else the first _CHUNK."""
-    owned = slice(None) if last else slice(_CHUNK)
-    for n, ranks in _lag_ranks(x, orders, d):
-        yield n, ranks[..., owned]
-
-
-def _past_top(block, top: int, d: int):
-    """The (n, ranks) of a block of _block_ranks that a pass counts: the
-    top order's, and each lower order's windows past the top order's. The
-    rest are prefixes of top-order windows, which _folded counts from the
-    top. Only a row's last block has windows past the top order's, the last
-    (top - n) d of order n (any other block cuts every order to _CHUNK
-    starts), so those are held until the top order's ranks show whether
-    they are past them."""
-    tails = []
-    for n, ranks in block:
-        size = ranks.shape[-1]
-        if n < top:
-            tails.append((n, size, ranks[..., max(0, size - (top - n) * d):].copy()))
-            continue
-        for m, held, tail in tails:
-            yield m, tail[..., tail.shape[-1] - (held - size):]
-        yield n, ranks
+    """The (n, ranks) of a block of _blocks that a pass counts: the top
+    order's windows that start in it (all in a row's last block, else the
+    first _CHUNK), and, in a row's last block, each lower order's windows
+    past the top order's last start, which lie in the row's last
+    (top - 1) d values and are ranked from that slice. The rest are
+    prefixes of top-order windows, which _folded counts from the top."""
+    top = max(orders)
+    _, ranks = next(_lag_ranks(x, (top,), d))
+    yield top, ranks if last else ranks[..., :_CHUNK]
+    lower = [n for n in orders if n < top]
+    if last and lower:
+        yield from _lag_ranks(x[..., x.shape[-1] - (top - 1) * d:], lower, d)
 
 
 @lru_cache(maxsize=None)
@@ -446,9 +452,8 @@ def _prefix_groups(n: int) -> dict[int, np.ndarray]:
     patterns whose first m entries have the pattern of lex rank r. One
     _lag_ranks pass over every order-n word ranks every prefix: a word's
     order-m window at start 0 is its order-m prefix. Built once per order."""
-    words = np.array(list(permutations(range(n))), dtype=np.int8)  # in lex order
     groups = {m: np.argsort(ranks[:, 0], kind="stable")
-              for m, ranks in _lag_ranks(words, range(2, n + 1), 1)}
+              for m, ranks in _lag_ranks(_words(n), range(2, n + 1), 1)}
     for table in groups.values():
         table.setflags(write=False)
     return groups
@@ -463,7 +468,7 @@ def _fold(counts: np.ndarray, n: int, m: int, dtype) -> np.ndarray:
 
 
 def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
-    """The counts a pass took of _past_top's ranks, completed in place:
+    """The counts a pass took of _block_ranks' ranks, completed in place:
     each lower order's plus the top order's folded down to it."""
     top = max(counts)
     for n, c in counts.items():
@@ -502,8 +507,7 @@ def pattern_counts(
                          f"more than {_MAX_STACK_COUNTS}")
     counts = {n: np.zeros((len(stack), _FACT[n]), dtype=np.intp) for n in orders}
     for rows, lo, hi in _blocks(len(stack), size, orders, d):
-        block = _block_ranks(stack[rows, lo:hi], orders, d, hi == size)
-        for n, ranks in _past_top(block, orders[-1], d):
+        for n, ranks in _block_ranks(stack[rows, lo:hi], orders, d, hi == size):
             counts[n][rows] += _row_counts(ranks, n)
     return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in _folded(counts).items()}
 

@@ -10,6 +10,7 @@ a byte-order mark (which it must hand to the row parser).
 
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,22 @@ def test_ingest_matches_row_parser(csv_path, case):
     write(csv_path, text)
     assert outcome(ingest_csv, csv_path, column, header) == \
         outcome(reference_ingest, csv_path, column, header)
+
+
+def test_ingest_holds_a_long_column_once(tmp_path):
+    # 1e6 rows are 7.6 MiB of float64: the fast path's array becomes the
+    # series itself, where a copy of it would trace about 16 MiB
+    path = tmp_path / "long.csv"
+    values = (np.arange(1_000_000) % 977) * 0.25
+    path.write_text("\n".join(map(repr, values.tolist())) + "\n")
+    tracemalloc.start()
+    try:
+        series = ingest_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert series.values.tobytes() == values.tobytes()
+    assert peak < 12 * 2**20, f"traced {peak / 2**20:.1f} MiB"
 
 
 @settings(max_examples=200, deadline=None)

@@ -25,8 +25,8 @@ from ordinalwalk import (
 )
 from ordinalwalk import nullmodels
 from ordinalwalk.cli import main
-from ordinalwalk.nullmodels import _nulls_and_bands, _own_steps
-from ordinalwalk.patterns import _row_counts
+from ordinalwalk.nullmodels import _nulls_and_bands
+from ordinalwalk.patterns import _lag_ranks, _row_counts
 
 WALK = generate(GeneratorSpec("walk", 300, seed=5, step=StepModel.uniform(0.6)))
 
@@ -112,15 +112,22 @@ def test_each_band_walk_is_scored_against_the_pool_without_it(case):
     values, orders, d, mode, replicates, walks, smoothing, seed = case
     policy = TiePolicy(mode, jitter_scale=0.3 if mode == "jitter" else 0.0)
     spec = NullSpec(walk_length=walks * values.size)
-    got = _nulls_and_bands(values, orders, spec, seed, d, policy, replicates, smoothing)
+    drawn, block_ranks = [], nullmodels._block_ranks
+
+    def recorded(z, *args):
+        drawn.append(z.copy())  # the walk values as drawn (and jittered)
+        return block_ranks(z, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nullmodels, "_block_ranks", recorded)
+        got = _nulls_and_bands(values, orders, spec, seed, d, policy, replicates, smoothing)
     rows = max(replicates, walks)
-    per_walk = {n: [] for n in orders}
-    for _, block in nullmodels._sampled_ranks(_own_steps(values), rows, values.size, orders,
-                                              d, seed, policy):
-        for n, ranks in block:
-            per_walk[n].append(_row_counts(ranks, n))
+    walk_values = np.concatenate(drawn)  # every walk is one block's row here
+    assert walk_values.shape == (rows, values.size)
+    # every order counted from the walks themselves, not folded from the top
+    per_walk = {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(walk_values, orders, d)}
     for n, (null, band) in zip(orders, got):
-        counts = np.concatenate(per_walk[n])
+        counts = per_walk[n]
         pool, windows = counts.sum(axis=0), values.size - (n - 1) * d
         assert null.sample_count == rows * windows == pool.sum()
         assert band.shape == (replicates,)

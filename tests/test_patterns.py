@@ -152,6 +152,17 @@ def test_timeseries_validation():
         ts.values[0] = 9.0  # read-only
 
 
+def test_timeseries_copies_a_writable_array_and_keeps_a_read_only_one():
+    values = np.array([1.0, 3.0, 2.0])
+    ts = TimeSeries(values)
+    assert ts.values is not values and values.flags.writeable  # the caller's flags stay
+    values[0] = 9.0  # the series holds a read-only copy
+    assert ts.values.tolist() == [1.0, 3.0, 2.0] and not ts.values.flags.writeable
+    values.setflags(write=False)  # read-only, so the series keeps it rather than a copy
+    assert TimeSeries(values).values is values
+    assert TimeSeries(values.astype(np.float32)).values.dtype == np.float64
+
+
 def test_distribution_rejects_non_finite_weights():
     # a NaN total passes the sum check's comparison, so it needs its own
     with pytest.raises(RangeError, match="finite"):
