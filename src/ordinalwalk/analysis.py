@@ -162,7 +162,8 @@ def _loadtxt_column(path, column: int | str, header: bool) -> np.ndarray | None:
         return None
     if values.size != rows or not np.isfinite(values).all():
         return None
-    values.setflags(write=False)  # frozen, so TimeSeries keeps it without a copy
+    values.base.setflags(write=False)  # the (rows, 1) array that loadtxt's column views
+    values.setflags(write=False)  # both frozen, so TimeSeries keeps it without a copy
     return values
 
 

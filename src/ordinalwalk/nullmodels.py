@@ -21,10 +21,8 @@ band is the first R walks, each scored against the null less its own
 walk (leave-one-out), so the band measures replicate noise around the
 null the series (kl_to_model) is held to. A parametric or closed-form
 null's band draws R walks of the series' own steps from a key of its own.
-Every draw counts each window once, at the top order, as pattern_counts
-does: a lower order's counts are the top counts summed over patterns
-that share its prefix, plus its own windows past the top order's. A
-parametric null's walks hold one top-order window each, so it counts
+Every draw is counted as pattern_counts counts a stack (patterns._counted).
+A parametric null's walks hold one top-order window each, so it counts
 that window and folds it down.
 
 The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -62,15 +60,13 @@ from .patterns import (
     PatternDistribution,
     TiePolicy,
     _as_values,
-    _block_ranks,
     _blocks,
     _check_orders,
     _check_span,
+    _counted,
     _fold,
-    _folded,
     _frozen,
     _prefix_groups,
-    _row_counts,
     _symmetry_ranks,
     _words,
     empirical_distribution,
@@ -147,14 +143,14 @@ class StepModel:
         return f"{self.family}({', '.join(items + list(extra))})"
 
 
-def _walks(steps: np.ndarray, order="C") -> np.ndarray:
-    """Walks from 0 along the last axis, one step per entry of steps.
+def _walks(steps: np.ndarray) -> np.ndarray:
+    """Walks from 0 along the last axis, one step per entry of steps, column-major.
 
     cumsum runs walk by walk, so when there are fewer steps per walk than
     walks the walks are summed a column at a time instead: the same
     additions in the same order, so the same values bit for bit.
     """
-    z = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), order=order)
+    z = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), order="F")
     width = steps.shape[-1]
     if width * width < steps.size:  # width < steps.size / width walks
         z[..., 1] = steps[..., 0]
@@ -290,67 +286,39 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 # the walk sampler, and Monte Carlo
 # --------------------------------------------------------------------------
 
-def _sampled_ranks(model: StepModel, rows: int, length: int, orders, d: int, seed,
-                   policy: TiePolicy | None = None):
-    """Rank `rows` independent walks of `length` values stepping by model.
-
-    The walks come from `seed`, drawn and ranked in the blocks of
-    patterns._blocks: whole walks, or a longer walk in blocks that carry
-    over the last values of the block before and sum on from its last
-    value. A jitter policy's noise comes from the first child of `seed`,
-    once per value. The draws do not depend on the blocks. Yields each
-    block's walk slice and its _block_ranks at delay d with stable ties,
-    as a strict rule binds only the series: the top order's windows that
-    start in the block and, in a walk's last block, each lower order's
-    windows past the top order's. Reduce each before resuming.
-    """
+def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, seed):
+    """The blocks of patterns._blocks over `rows` walks of `length` values
+    stepping by model, drawn from `seed` as (walk slice, lo, hi, values):
+    whole walks, or a long walk's blocks, each summed on from the last value
+    of the block before. The draws do not depend on the blocks. The values
+    are column-major, so the kernel's loops run down the walks; read them
+    before resuming, and do not modify them."""
     _check_span(length, orders, d)
-    rng = np.random.default_rng(seed)
-    jitter = policy is not None and policy.mode == "jitter"
-    if jitter:
-        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        # the first child of base, derived without spawning, which would change base
-        noise = np.random.default_rng(np.random.SeedSequence(
-            base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
-    overlap = (max(orders) - 1) * d
+    rng, overlap = np.random.default_rng(seed), (max(orders) - 1) * d
     for walks, lo, hi in _blocks(rows, length, orders, d):
         if lo == 0:  # whole walks, or a long walk's first block
-            # column-major, so the kernel's loops run down the walks, not along them
-            shape = (walks.stop - walks.start, hi - 1)
-            z = _walks(_sample_steps(model, shape, rng), order="F")
-            fresh = 0
+            z = _walks(_sample_steps(model, (walks.stop - walks.start, hi - 1), rng))
         else:  # the rest of a long walk, summed on from its last value
             steps = _sample_steps(model, (1, hi - lo - overlap), rng)
-            steps[:, 0] += end
+            steps[:, 0] += z[:, -1]
             z = np.concatenate((z[:, -overlap:], np.cumsum(steps, axis=-1)), axis=-1)
-            fresh = overlap
-        end = z[:, -1].copy()
-        if not np.isfinite(end).all():  # a sum that leaves the finite never returns
+        if not np.isfinite(z[:, -1]).all():  # a sum that leaves the finite never returns
             raise RangeError("series values must be finite")  # as TimeSeries says
-        if jitter:
-            z[:, fresh:] += noise.normal(0.0, policy.jitter_scale, (len(z), hi - lo - fresh))
-        yield walks, _block_ranks(z, orders, d, hi == length)
+        yield walks, lo, hi, z
 
 
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
                   policy: TiePolicy | None = None, keep: int = 0):
-    """Pattern counts per order of the walks _sampled_ranks draws: summed
-    over every walk, and per walk, over its blocks, for the first `keep`
-    walks, in the smallest unsigned type that holds a walk's count. Each
-    window is counted once, at the top order (patterns._folded); the pool
-    is the kept walks' own counts plus one bincount of the rest."""
-    pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
-    kept = {n: np.zeros((keep, _FACT[n]), np.min_scalar_type(length - (n - 1) * d))
-            for n in orders}
-    for walks, block in _sampled_ranks(model, rows, length, orders, d, seed, policy):
-        for n, ranks in block:
-            mine = kept[n][walks]  # a view, empty past the kept walks
-            if len(mine):
-                mine += _row_counts(ranks[:len(mine)], n).astype(mine.dtype)
-            pooled[n] += np.bincount(ranks[len(mine):].ravel("K"), minlength=_FACT[n])
-    for n, c in pooled.items():
-        c += kept[n].sum(axis=0, dtype=np.int64)
-    return _folded(pooled), _folded(kept)
+    """patterns._counted of the walks _sampled_walks draws, with stable ties
+    (a strict rule binds only the series), each kept walk's counts in the
+    smallest unsigned type that holds them; jittered from seed's first child."""
+    if policy is not None and policy.mode == "jitter":
+        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        # the first child of base, derived without spawning, which would change base
+        policy = replace(policy, seed=np.random.SeedSequence(
+            base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
+    return _counted(_sampled_walks(model, rows, length, orders, d, seed), length, orders, d,
+                    policy, keep, np.min_scalar_type(length - (min(orders) - 1) * d))
 
 
 def monte_carlo_distribution(

@@ -6,12 +6,12 @@ the permutation word where word[i] is the rank of x_i among the window
 values, 1 for the smallest. So (1.2, 3.4, 0.5) has pattern 231. One
 ranker, _lag_ranks, ranks series, walks and words, and every per-order
 table comes from one word array per order, _words(n), row r of lex rank r.
-This module owns the block size of every rank pass, _CHUNK: a series, a
-stack or a sampled walk (in nullmodels) is ranked block by block
-(_blocks), so no pass holds more than about _CHUNK windows' temporaries.
-A pass counts each window once, at its top order n: the order-m window
-at start t is the first m values of the order-n window at t, so order m's
-counts are the top counts summed over the patterns that share an order-m
+One counter, _counted, jitters (_noised), ranks and counts every series,
+stack and sampled walk (in nullmodels) in the blocks of _blocks, so no
+pass holds more than about _CHUNK windows' values, noise or temporaries.
+It counts each window once, at its top order n: the order-m window at
+start t is the first m values of the order-n window at t, so order m's
+counts are the top counts summed over the patterns sharing an order-m
 prefix (_fold), plus order m's own windows past the top order's last
 start, which _block_ranks yields from a row's last block (_folded).
 
@@ -74,8 +74,9 @@ class TimeSeries:
     Parameters
     ----------
     values : array_like
-        One-dimensional, nonempty, all values finite. A read-only float64
-        array is kept as it is; anything else is copied, and the copy frozen.
+        One-dimensional, nonempty, all values finite. A float64 array that
+        no one can write (it and every array it views are read-only) is kept
+        as it is; anything else is copied, and the copy frozen.
     """
 
     values: np.ndarray
@@ -88,10 +89,14 @@ class TimeSeries:
 
 
 def _frozen(values) -> np.ndarray:
-    """values as a read-only float64 array: one already is kept, and
-    anything else is copied and the copy frozen, the caller's array untouched."""
-    if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-            and not values.flags.writeable):
+    """values as a float64 array that no one can write: one that is read-only,
+    as is every array on its .base chain, which ends at an array that owns its
+    data, is kept; anything else is copied and the copy frozen."""
+    owner = values
+    while isinstance(owner, np.ndarray) and not owner.flags.writeable and not owner.flags.owndata:
+        owner = owner.base
+    if not (isinstance(owner, np.ndarray) and not owner.flags.writeable
+            and values.dtype == np.float64):
         values = np.array(values, dtype=np.float64)
         values.setflags(write=False)
     return values
@@ -116,6 +121,8 @@ class TiePolicy:
     stable (the default) ranks the earlier index as smaller; strict raises
     TieError on any duplicate; jitter adds normal noise of scale
     jitter_scale, drawn from seed (an int or a SeedSequence), before ranking.
+    jitter_scale must be finite, and a pass whose noised values are not
+    raises RangeError.
     """
 
     mode: TieMode = "stable"
@@ -125,6 +132,8 @@ class TiePolicy:
     def __post_init__(self):
         if self.mode not in ("strict", "stable", "jitter"):
             raise RangeError(f"unknown tie mode {self.mode!r}")
+        if not math.isfinite(self.jitter_scale):
+            raise RangeError(f"jitter_scale must be finite, got {self.jitter_scale}")
         if self.mode == "jitter" and not self.jitter_scale > 0:
             raise RangeError("jitter mode requires jitter_scale > 0")
 
@@ -378,21 +387,17 @@ def _check_span(length: int, orders, d: int) -> None:
 
 
 def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
-    """Validated (and, under jitter, perturbed) values for _lag_ranks.
+    """Validated values for a rank pass; a jitter policy's noise is _noised's.
 
     Owns the strict tie rule: TieError if any window of a requested order
     holds two equal values. Those lie k*d apart for some 0 < k < n, and
     the W windows of the lowest order n > k reach every such pair whose
     first index, taken mod d, is below W (every pair once W >= d).
     """
-    policy = policy or TiePolicy()
     values = _as_values(series)
     size = values.shape[-1]
     _check_span(size, orders, d)
-    if policy.mode == "jitter":
-        noise = np.random.default_rng(policy.seed).normal(0.0, policy.jitter_scale, values.shape)
-        values = values + noise
-    if policy.mode == "strict":
+    if policy is not None and policy.mode == "strict":
         for k in range(1, max(orders)):
             windows = size - (min(n for n in orders if n > k) - 1) * d
             equal = values[..., k * d:] == values[..., :size - k * d]
@@ -477,6 +482,49 @@ def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return counts
 
 
+def _noised(blocks, orders, d: int, policy: TiePolicy | None):
+    """The (row slice, lo, hi, values) blocks of _blocks, with a jitter
+    policy's noise added to a copy of each block, in its layout: from
+    default_rng(policy.seed), once per value in value order, so a long row's
+    later block reuses the noised overlap of the block before. RangeError
+    if a noised value is not finite."""
+    if policy is None or policy.mode != "jitter":
+        yield from blocks
+        return
+    rng, overlap = np.random.default_rng(policy.seed), (max(orders) - 1) * d
+    for rows, lo, hi, x in blocks:
+        fresh, block = (overlap if lo else 0), np.empty_like(x)
+        if fresh:  # a long row's later block: its first values end the block before
+            block[:, :fresh] = noised[:, -fresh:]
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            np.add(x[:, fresh:], rng.normal(0.0, policy.jitter_scale, (len(x), hi - lo - fresh)),
+                   out=block[:, fresh:])
+        if not np.isfinite(block).all():
+            raise RangeError("jittered values must be finite")
+        noised = block
+        yield rows, lo, hi, noised
+
+
+def _counted(blocks, size: int, orders, d: int, policy: TiePolicy | None, keep: int, dtype):
+    """Pattern counts per order of the rows of `size` values whose blocks
+    of _blocks come as (row slice, lo, hi, values), jittered by _noised and
+    counted once per window from _block_ranks, then _folded: pooled over
+    every row in int64, and per row for the first `keep` rows in dtype."""
+    pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
+    kept = {n: np.zeros((keep, _FACT[n]), dtype) for n in orders}
+    for rows, lo, hi, x in _noised(blocks, orders, d, policy):
+        for n, ranks in _block_ranks(x, orders, d, hi == size):
+            mine = kept[n][rows]  # a view, empty past the kept rows
+            if len(mine):  # one bincount, each row's ranks offset by n! times its index
+                mine += np.bincount(
+                    (ranks[:len(mine)] + np.arange(len(mine))[:, None] * _FACT[n]).ravel("K"),
+                    minlength=mine.size).reshape(mine.shape).astype(dtype, copy=False)
+            pooled[n] += np.bincount(ranks[len(mine):].ravel("K"), minlength=_FACT[n])
+    for n, c in pooled.items():
+        c += kept[n].sum(axis=0, dtype=np.int64)
+    return _folded(pooled), _folded(kept)
+
+
 #: the most counts pattern_counts allocates, rows times n! summed over the
 #: counted orders: 64 Mi counts are 512 MiB of intp
 _MAX_STACK_COUNTS = 1 << 26
@@ -492,10 +540,10 @@ def pattern_counts(
 
     series is one series, or a 2-D stack with one series per row; the
     counts of order n then have shape (n!,) or (rows, n!). The values are
-    ranked and counted in the blocks of _blocks, each window once, at the
-    top order; _folded gives the lower orders. A stack whose counts, rows
-    times n! summed over the orders, exceed _MAX_STACK_COUNTS raises
-    RangeError before they are allocated.
+    jittered, ranked and counted in the blocks of _blocks (_counted), each
+    window once, at the top order. A stack whose counts, rows times n!
+    summed over the orders, exceed _MAX_STACK_COUNTS raises RangeError
+    before they are allocated.
     """
     orders = _check_orders(orders)
     values = _prepared(series, orders, d, policy)
@@ -505,19 +553,10 @@ def pattern_counts(
     if cells > _MAX_STACK_COUNTS:
         raise RangeError(f"{len(stack)} rows at orders {orders} need {cells} counts, "
                          f"more than {_MAX_STACK_COUNTS}")
-    counts = {n: np.zeros((len(stack), _FACT[n]), dtype=np.intp) for n in orders}
-    for rows, lo, hi in _blocks(len(stack), size, orders, d):
-        for n, ranks in _block_ranks(stack[rows, lo:hi], orders, d, hi == size):
-            counts[n][rows] += _row_counts(ranks, n)
-    return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in _folded(counts).items()}
-
-
-def _row_counts(ranks: np.ndarray, n: int) -> np.ndarray:
-    """Counts per lex rank of a stack of order-n ranks, one row each: (rows, n!)."""
-    rows = ranks.shape[0]
-    offset = np.arange(rows, dtype=np.intp)[:, None] * _FACT[n]
-    flat = np.bincount((ranks + offset).ravel("K"), minlength=rows * _FACT[n])
-    return flat.reshape(rows, _FACT[n])
+    blocks = ((rows, lo, hi, stack[rows, lo:hi])
+              for rows, lo, hi in _blocks(len(stack), size, orders, d))
+    _, counts = _counted(blocks, size, orders, d, policy, len(stack), np.intp)
+    return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in counts.items()}
 
 
 def standardize(window: Sequence[float], policy: TiePolicy | None = None) -> OrdinalPattern:
@@ -553,8 +592,9 @@ def extract_patterns(
     exactly N-(n-1)d patterns come back, in series order.
     """
     orders = _check_orders((n,))
-    values = _prepared(_as_series(series), orders, d, policy)
-    _, ranks = next(_lag_ranks(values, orders, d))
+    values = _prepared(_as_series(series), orders, d, policy)[None]  # one row, one block
+    (*_, values), = _noised([(None, 0, values.size, values)], orders, d, policy)
+    _, ranks = next(_lag_ranks(values[0], orders, d))
     patterns = _patterns(n)
     return [patterns[r] for r in ranks.tolist()]
 

@@ -39,8 +39,12 @@ from ordinalwalk.patterns import _FACT, _lag_ranks, _prefix_groups, _prepared
 
 def _per_order_counts(values, orders, d, policy):
     # pattern_counts as it was: every order's windows ranked by _lag_ranks
-    # and bincounted on their own, with no blocks
+    # and bincounted on their own, with no blocks, and any jitter noise
+    # drawn at once over the whole series or stack
     prepared = _prepared(values, orders, d, policy)
+    if policy.mode == "jitter":
+        noise = np.random.default_rng(policy.seed).normal(0.0, policy.jitter_scale, values.shape)
+        prepared = prepared + noise
     stack = prepared.reshape(-1, prepared.shape[-1])
     return {n: np.array([np.bincount(row, minlength=_FACT[n]) for row in ranks])
             .reshape(prepared.shape[:-1] + (_FACT[n],))
@@ -117,16 +121,15 @@ def test_prefix_tables_are_the_lex_ranks_of_the_prefixes(n):
         assert not _prefix_groups(n)[m].flags.writeable
 
 
-@given(rows=st.integers(1, 60), width=st.integers(0, 12), seed=st.integers(0, 2 ** 32),
-       order=st.sampled_from("CF"))
+@given(rows=st.integers(1, 60), width=st.integers(0, 12), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=100, deadline=None)
-def test_column_summed_walks_are_the_cumsum_walks(rows, width, seed, order):
+def test_column_summed_walks_are_the_cumsum_walks(rows, width, seed):
     rng = np.random.default_rng(seed)
     steps = rng.normal(size=(rows, width)) * rng.choice([0.0, -0.0, 1.0, 1e300], (rows, width))
-    z = _walks(steps, order)
+    z = _walks(steps)
     want = np.zeros((rows, width + 1))
     np.cumsum(steps, axis=-1, out=want[:, 1:])
-    assert z.flags[order + "_CONTIGUOUS"]
+    assert z.flags["F_CONTIGUOUS"]
     assert z.tobytes(order="C") == want.tobytes()  # bit for bit, signed zeros too
 
 

@@ -23,25 +23,25 @@ from ordinalwalk import (
     generate,
     kl_divergence,
 )
-from ordinalwalk import nullmodels
+from ordinalwalk import nullmodels, patterns
 from ordinalwalk.cli import main
 from ordinalwalk.nullmodels import _nulls_and_bands
-from ordinalwalk.patterns import _lag_ranks, _row_counts
+from ordinalwalk.patterns import _FACT, _lag_ranks
 
 WALK = generate(GeneratorSpec("walk", 300, seed=5, step=StepModel.uniform(0.6)))
 
 
 @pytest.fixture
 def draws(monkeypatch):
-    """The row count of every _sampled_ranks call, in call order."""
+    """The row count of every _sampled_walks call, in call order."""
     rows = []
-    sampled_ranks = nullmodels._sampled_ranks
+    sampled_walks = nullmodels._sampled_walks
 
     def counted(model, count, *args, **kwargs):
         rows.append(count)
-        return sampled_ranks(model, count, *args, **kwargs)
+        return sampled_walks(model, count, *args, **kwargs)
 
-    monkeypatch.setattr(nullmodels, "_sampled_ranks", counted)
+    monkeypatch.setattr(nullmodels, "_sampled_walks", counted)
     return rows
 
 
@@ -112,20 +112,21 @@ def test_each_band_walk_is_scored_against_the_pool_without_it(case):
     values, orders, d, mode, replicates, walks, smoothing, seed = case
     policy = TiePolicy(mode, jitter_scale=0.3 if mode == "jitter" else 0.0)
     spec = NullSpec(walk_length=walks * values.size)
-    drawn, block_ranks = [], nullmodels._block_ranks
+    drawn, block_ranks = [], patterns._block_ranks
 
     def recorded(z, *args):
         drawn.append(z.copy())  # the walk values as drawn (and jittered)
         return block_ranks(z, *args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(nullmodels, "_block_ranks", recorded)
+        patch.setattr(patterns, "_block_ranks", recorded)
         got = _nulls_and_bands(values, orders, spec, seed, d, policy, replicates, smoothing)
     rows = max(replicates, walks)
     walk_values = np.concatenate(drawn)  # every walk is one block's row here
     assert walk_values.shape == (rows, values.size)
     # every order counted from the walks themselves, not folded from the top
-    per_walk = {n: _row_counts(ranks, n) for n, ranks in _lag_ranks(walk_values, orders, d)}
+    per_walk = {n: np.array([np.bincount(row, minlength=_FACT[n]) for row in ranks])
+                for n, ranks in _lag_ranks(walk_values, orders, d)}
     for n, (null, band) in zip(orders, got):
         counts = per_walk[n]
         pool, windows = counts.sum(axis=0), values.size - (n - 1) * d

@@ -27,7 +27,8 @@ from ordinalwalk.patterns import _FACT, _check_order, _lag_ranks
 
 def _previous_monte_carlo(model, n, samples, seed=0):
     # monte_carlo_distribution as it was when every order drew its own
-    # walks, verbatim but for reading _CHUNK through the module
+    # walks, verbatim but for reading _CHUNK through the module and for
+    # _walks, which now always builds column-major walks
     _check_order(n)
     if samples < 1:
         raise RangeError(f"samples must be >= 1, got {samples}")
@@ -37,7 +38,7 @@ def _previous_monte_carlo(model, n, samples, seed=0):
     while remaining > 0:
         k = min(patterns._CHUNK // n, remaining)
         # column-major, so the kernel's loops run down k walks, not along n
-        z = _walks(_sample_steps(model, (k, n - 1), rng), order="F")
+        z = _walks(_sample_steps(model, (k, n - 1), rng))
         _, ranks = next(_lag_ranks(z, (n,), 1))
         counts += np.bincount(ranks.ravel(), minlength=_FACT[n])
         remaining -= k

@@ -381,8 +381,8 @@ def _check_against_pairwise(case):
         with pytest.raises(TieError):
             pattern_counts(values, orders, d, policy)
         return
-    prepared = _prepared(values, orders, d, policy)
-    got = {n: ranks.copy() for n, ranks in _lag_ranks(prepared, orders, d)}
+    _prepared(values, orders, d, policy)  # validates; the reference noise is drawn above
+    got = {n: ranks.copy() for n, ranks in _lag_ranks(ranked, orders, d)}
     assert sorted(got) == orders
     counts = pattern_counts(values, orders, d, policy)
     for n in orders:

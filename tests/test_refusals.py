@@ -1,0 +1,155 @@
+"""Every input a constructor or entry point refuses raises its typed error
+(the CLI: exits with its code and message). One parametrized test per
+module, each case a refusal that no other test reaches."""
+
+import numpy as np
+import pytest
+
+from ordinalwalk import (
+    AnalysisConfig,
+    EquivalenceClassTable,
+    GeneratorSpec,
+    MetricReport,
+    NullSpec,
+    OrderError,
+    OrderMismatchError,
+    OrdinalPattern,
+    PatternDistribution,
+    RangeError,
+    SpecError,
+    StepModel,
+    TiePolicy,
+    emit,
+    lex_unrank,
+    pattern_counts,
+    symmetry_transform,
+)
+from ordinalwalk.cli import main
+from ordinalwalk.patterns import _symmetry_ranks
+
+PATTERN_12 = OrdinalPattern((1, 2))
+PATTERN_123 = OrdinalPattern((1, 2, 3))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: AnalysisConfig(smoothing=-1), RangeError, "smoothing must be >= 0, got -1"),
+    (lambda: emit([]), RangeError, "nothing to emit"),
+    (lambda: emit([object()]), RangeError, "emit expects AnalysisResult values"),
+], ids=["negative smoothing", "emit nothing", "emit a non-result"])
+def test_analysis_refuses(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: EquivalenceClassTable(3, ((0, 1, 2), (3, 4)), "reference"), OrderError,
+     "classes do not partition the 6 patterns of order 3"),
+    (lambda: EquivalenceClassTable(3, ((0, 1, 2), (2, 3, 4, 5)), "reference"), OrderError,
+     "classes do not partition"),
+    (lambda: EquivalenceClassTable(3, (tuple(range(6)),), "reference").class_of(PATTERN_12),
+     OrderMismatchError, "pattern order 2 vs table order 3"),
+], ids=["a rank missing", "a rank twice", "class_of at another order"])
+def test_classes_refuse(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.fixture
+def walk_csv(tmp_path):
+    path = tmp_path / "walk.csv"
+    path.write_text("".join(f"{v!r}\n" for v in np.cumsum(np.arange(40.0) % 3 - 1).tolist()))
+    return path
+
+
+@pytest.mark.parametrize("argv, config, code, message", [
+    (["analyze", "{csv}", "--orders", "3,x"], None, 1,
+     "usage error: expected comma-separated integers, got '3,x'"),
+    (["oracle", "--b", "0.6,b"], None, 1, "usage error: expected comma-separated numbers"),
+    (["analyze", "{csv}", "--config", "{missing}"], None, 1,
+     "usage error: cannot read config file"),
+    (["analyze", "{csv}", "--config", "{config}"], "{orders: 3}", 1,
+     "usage error: config file is not valid JSON"),
+    (["analyze", "{csv}", "--config", "{config}"], "[3, 4]", 1,
+     "usage error: config file must hold a JSON object"),
+    (["simulate", "--length", "10"], None, 1, "usage error: simulate needs --kind"),
+    (["simulate", "--kind", "walk"], None, 1, "usage error: simulate needs --length"),
+    (["simulate", "--kind", "walk", "--length", "10", "--seed", "1"], None, 1,
+     "usage error: walk simulation needs --step-family"),
+], ids=["bad integer list", "bad number list", "unreadable config", "config not JSON",
+        "config not an object", "simulate without kind", "simulate without length",
+        "walk without step family"])
+def test_cli_refuses(tmp_path, walk_csv, capsys, argv, config, code, message):
+    paths = {"csv": walk_csv, "missing": tmp_path / "missing.json",
+             "config": tmp_path / "config.json"}
+    if config is not None:
+        paths["config"].write_text(config)
+    assert main([arg.format(**paths) for arg in argv]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("spec, message", [
+    (dict(kind="logistic", x0="a half"), "cannot read x0 'a half' as a number"),
+    (dict(kind="logistic", x0=None), "cannot read x0 None as a number"),
+    (dict(kind="mod10", x0="1/x"), "cannot read x0 '1/x' as a rational"),
+], ids=["logistic x0", "logistic x0 None", "mod10 x0"])
+def test_generators_refuse(spec, message):
+    with pytest.raises(SpecError, match=message):
+        GeneratorSpec(length=10, **spec)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(permutation_entropy=1.5, missing_count=0), r"permutation entropy out of \[0, 1\]"),
+    (dict(permutation_entropy=-0.1, missing_count=0), r"permutation entropy out of \[0, 1\]"),
+    (dict(permutation_entropy=0.5, missing_count=-1), "missing_count out of range: -1"),
+    (dict(permutation_entropy=0.5, missing_count=7), "missing_count out of range: 7"),
+], ids=["entropy above 1", "entropy below 0", "negative missing", "missing above 3!"])
+def test_metrics_refuse(fields, message):
+    with pytest.raises(RangeError, match=message):
+        MetricReport(n=3, **fields)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: StepModel("uniform_b", b=0.5, mu=0.0), "uniform_b takes only b"),
+    (lambda: StepModel("normal", mu=0.0, sigma=1.0, b=0.5), "normal takes only mu and sigma"),
+    (lambda: StepModel("normal", mu=0.0, sigma=1.0, steps=np.ones(3)),
+     "normal takes only mu and sigma"),
+    (lambda: StepModel("empirical", steps=np.ones(3), sigma=1.0), "empirical takes only steps"),
+    (lambda: StepModel("cauchy"), "unknown step family 'cauchy'"),
+    (lambda: NullSpec(step="uniform"), "a null's step law must be a StepModel"),
+    (lambda: NullSpec(walk_length=1), "walk_length must be >= 2"),
+], ids=["uniform with mu", "normal with b", "normal with steps", "empirical with sigma",
+        "unknown family", "step not a StepModel", "walk length 1"])
+def test_nullmodels_refuse(call, message):
+    with pytest.raises(RangeError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: TiePolicy("random"), "unknown tie mode 'random'"),
+    (lambda: OrdinalPattern.from_string("1a2"), "cannot parse pattern string '1a2'"),
+    (lambda: PatternDistribution(3, np.full(5, 0.2), "model"),
+     r"expected 6 weights for order 3, got shape \(5,\)"),
+    (lambda: PatternDistribution(2, [1.5, -0.5], "model"), "weights must be nonnegative"),
+    (lambda: PatternDistribution(2, [0.5, 0.5], "sampled"), "unknown distribution kind"),
+    (lambda: PatternDistribution(2, [0.5, 0.5], "model", -1),
+     "sample_count must be nonnegative"),
+    (lambda: PatternDistribution.uniform(3).weight_of(PATTERN_12),
+     "pattern order 2 does not match distribution order 3"),
+    (lambda: lex_unrank(3, 6), r"rank must be in \[0, 3!\), got 6"),
+    (lambda: lex_unrank(3, -1), r"rank must be in \[0, 3!\), got -1"),
+    (lambda: lex_unrank(3, 1.0), "rank must be an integer"),
+    (lambda: symmetry_transform(PATTERN_123, "rotate"), "unknown symmetry 'rotate'"),
+    (lambda: _symmetry_ranks(3, "rotate"), "unknown symmetry 'rotate'"),
+    (lambda: pattern_counts(np.array([[1.0, np.nan, 2.0]]), (2,)),
+     "a series stack must be nonempty and finite"),
+    (lambda: pattern_counts(np.zeros((0, 3)), (2,)),
+     "a series stack must be nonempty and finite"),
+], ids=["unknown tie mode", "unparsable pattern", "weights of another shape",
+        "negative weight", "unknown kind", "negative sample count", "weight_of another order",
+        "rank past n!", "negative rank", "float rank", "unknown symmetry",
+        "unknown symmetry table", "NaN in a stack", "empty stack"])
+def test_patterns_refuse(call, message):
+    with pytest.raises(RangeError, match=message):
+        call()
