@@ -1,13 +1,14 @@
 """Equal-probability classes as a structural check on walk data.
 
 Any walk with i.i.d. steps puts equal probability on certain groups of
-patterns (4 groups at n=3, 14 at n=4, 61 at n=5). The n=5 table is valid
-(each group is equiprobable) but not the full partition: three pairs of
-its groups are provably equal, as tests/test_derived_classes.py shows by
-deriving the groups from step exchangeability. Empirical weights from
-a genuine walk should be flat within each group up to sampling noise, so
-the within-class spread doubles as a cheap model check: it shrinks with
-sample size for walks and stays put for anything else.
+patterns (4 groups at n=3, 14 at n=4, 58 at n=5). The package derives
+these groups on first use from the walks of a box of integer step
+vectors, and each is the full partition: patterns that every such walk
+hits equally often are equally likely under every step law. Empirical
+weights from a genuine walk should be flat within each group up to
+sampling noise, so the within-class spread doubles as a cheap model
+check: it shrinks with sample size for walks and stays put for anything
+else.
 """
 
 from ordinalwalk import (

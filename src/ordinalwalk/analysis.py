@@ -32,6 +32,7 @@ from .classes import equivalence_classes, rc_closure
 from .errors import EmptyError, LengthError, OrderError, ParseError, RangeError
 from .metrics import (
     MetricReport,
+    _check_smoothing,
     g_statistic,
     kl_divergence,
     missing_pattern_count,
@@ -80,8 +81,9 @@ class AnalysisConfig:
             raise RangeError(f"delay must be >= 1, got {self.delay}")
         if self.replicates < 0 or self.replicates == 1:  # a band's spread needs two
             raise RangeError(f"replicates must be 0 or >= 2, got {self.replicates}")
-        if self.smoothing < 0:
-            raise RangeError(f"smoothing must be >= 0, got {self.smoothing}")
+        if self.seed < 0:
+            raise RangeError(f"seed must be >= 0, got {self.seed}")
+        _check_smoothing(self.smoothing)
 
 
 @dataclass(frozen=True)

@@ -1,23 +1,23 @@
 """Pattern equivalence classes of random walks.
 
 Patterns in the same class occur with identical probability in any random
-walk with i.i.d. steps, whatever the step law. The tables for n = 3, 4, 5
-are embedded as data; reverse-complement closure provides the finer
-two-element grouping that holds at every order and is used as a fallback
-beyond n = 5.
-
-The n = 3 and 4 tables are the full partition. The 61-class n = 5 table
-is valid (each class is equiprobable) but not the full partition: three
-pairs of its classes are provably equal, {14532, 43125} with {21453,
-31254}, {15432, 43215} with {21543, 32154} and {32451, 51243} with
-{43512, 45132}. tests/test_derived_classes.py derives the classes from
-step exchangeability and checks all of this.
+walk with i.i.d. steps, whatever the step law. For n = 3, 4, 5 the classes
+are derived on first use: a walk's pattern is fixed by the signs of its
+steps' subset sums, and permuting the steps permutes the chambers of that
+arrangement without changing the law, so patterns that every generic
+integer step vector of the box [-5, 5]^(n-1) (no subset sums to 0) hits
+equally often, over all (n-1)! step orders, are equally likely. The box
+reaches all 6, 32 and 370 chambers (OEIS A034997), as
+tests/test_derived_classes.py checks, so the 4, 14 and 58 classes are the
+full partition. Reverse-complement closure gives the finer two-element
+grouping that holds at every order, the fallback beyond n = 5.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations_with_replacement
 from typing import Literal
 
 import numpy as np
@@ -28,61 +28,16 @@ from .patterns import (
     OrdinalPattern,
     PatternDistribution,
     _check_order,
+    _lag_ranks,
     _pattern_strings,
     _symmetry_ranks,
+    _words,
 )
 
-_N3_CLASSES = [
-    ["123"],
-    ["132", "213"],
-    ["231", "312"],
-    ["321"],
-]
-
-_N4_CLASSES = [
-    ["1234"],
-    ["1243", "2134"],
-    ["1324"],
-    ["1342", "3124"],
-    ["1423", "2314"],
-    ["1432", "2143", "3214"],
-    ["2341", "3412", "4123"],
-    ["2413"],
-    ["2431", "4213"],
-    ["3142"],
-    ["3241", "4132"],
-    ["3421", "4312"],
-    ["4231"],
-    ["4321"],
-]
-
-_N5_CLASSES = [
-    ["12345"], ["14325"], ["21354"], ["25314"],
-    ["41352"], ["45312"], ["52341"], ["54321"],
-    ["21453", "31254"],
-    ["12543", "32145"], ["13245", "12435"], ["13425", "14235"],
-    ["15243", "32415"], ["15342", "42315"], ["15432", "43215"],
-    ["21345", "12354"], ["21435", "13254"], ["21543", "32154"],
-    ["23145", "12534"], ["23415", "15234"], ["24153", "31524"],
-    ["24315", "15324"], ["24513", "35124"], ["24531", "53124"],
-    ["25134", "23514"], ["25341", "52314"], ["25413", "35214"],
-    ["25431", "53214"], ["31245", "12453"], ["31425", "14253"],
-    ["31542", "42153"], ["32514", "25143"], ["32541", "52143"],
-    ["35142", "42513"], ["35241", "52413"], ["41235", "13452"],
-    ["41253", "31452"], ["41325", "14352"], ["41523", "34152"],
-    ["41532", "43152"], ["42135", "13542"], ["42351", "51342"],
-    ["45231", "53412"], ["51324", "24351"], ["51423", "34251"],
-    ["51432", "43251"], ["53142", "42531"], ["53241", "52431"],
-    ["54123", "34521"], ["54132", "43521"], ["54213", "35421"],
-    ["54231", "53421"], ["54312", "45321"], ["43125", "14532"],
-    ["34125", "14523"], ["13524", "24135"], ["51243", "32451"],
-    ["43512", "45132"],
-    ["35412", "52134", "45213", "23541"],
-    ["23451", "45123", "34512", "51234"],
-    ["21534", "23154", "15423", "34215"],
-]
-
-_TABLES = {3: _N3_CLASSES, 4: _N4_CLASSES, 5: _N5_CLASSES}
+#: The orders whose classes are derived, and the radius of the box of
+#: integer steps that reaches every chamber at each of them.
+_DERIVED_ORDERS = (3, 4, 5)
+_RADIUS = 5
 
 
 @dataclass(frozen=True)
@@ -140,27 +95,33 @@ class EquivalenceClassTable:
 
 @lru_cache(maxsize=None)
 def equivalence_classes(n: int) -> EquivalenceClassTable:
-    """The equal-probability class table for n in {3, 4, 5}.
-
-    Counts: 4 classes at n = 3, 14 at n = 4, 61 at n = 5 (8 singletons,
-    50 pairs, 3 quadruples). Every class is equiprobable; the n = 3 and 4
-    tables are the full partition, and at n = 5 three pairs of classes are
-    provably equal as well (see the module docstring). Built and validated
-    once per order; the frozen table is shared by later calls.
+    """The full equal-probability partition for n in {3, 4, 5}: 4, 14 and
+    58 classes. Derived on first use from the step box (see the module
+    docstring) and validated once per order; later calls share the table.
     """
-    table = _TABLES.get(n)
-    if table is None:
-        raise OrderError(f"class tables exist for n in {tuple(_TABLES)}, got {n}")
-    rank = {s: r for r, s in enumerate(_pattern_strings(n))}
-    groups = tuple(tuple(rank[s] for s in g) for g in table)
-    return EquivalenceClassTable(n, groups, "reference")
+    if n not in _DERIVED_ORDERS:
+        raise OrderError(f"class tables exist for n in {_DERIVED_ORDERS}, got {n}")
+    k = _check_order(n) - 1  # refuses 3.0, which passes the test above
+    box = range(-_RADIUS, _RADIUS + 1)
+    steps = np.array(list(combinations_with_replacement(box, k)), np.int8)  # walks fit int8
+    subsets = (np.arange(1, 2 ** k)[:, None] >> np.arange(k)) & 1
+    steps = steps[(steps @ subsets.T != 0).all(axis=1)]  # the generic vectors
+    walks = np.zeros((len(steps), _FACT[k], n), dtype=steps.dtype)
+    np.cumsum(steps[:, _words(k) - 1], axis=2, out=walks[..., 1:])  # every step order
+    _, ranks = next(_lag_ranks(walks, (n,), 1))
+    cells = np.arange(len(steps))[:, None] * _FACT[n] + ranks[..., 0]
+    hits = np.bincount(cells.ravel(), minlength=len(steps) * _FACT[n])
+    groups = {}  # patterns with equal hits from every vector share a class
+    for rank, column in enumerate(hits.reshape(len(steps), _FACT[n]).T):
+        groups.setdefault(column.tobytes(), []).append(rank)
+    return EquivalenceClassTable(n, tuple(groups.values()), "reference")
 
 
 @lru_cache(maxsize=None)
 def rc_closure(n: int) -> EquivalenceClassTable:
     """Partition of S_n into reverse-complement orbits (size 1 or 2).
 
-    Sound for any walk but finer than the tables: every orbit lies
+    Sound for any walk but finer than the derived classes: every orbit lies
     inside one equivalence_classes(n) group for n in {3, 4, 5}. Built and
     validated once per order, like equivalence_classes.
     """

@@ -183,7 +183,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     p.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
     p.add_argument("--closure", action="store_true",
                    help="emit the reverse/complement closure instead of the "
-                        "reference tables")
+                        "derived classes")
     common(p, seeded=False)
 
     p = command("oracle", _cmd_oracle, "quadrature volumes vs closed forms")
@@ -244,6 +244,8 @@ def _load_config(args, parser: _Parser) -> dict:
 def _seed(args, stochastic: bool) -> int:
     if args.strict and stochastic and args.seed is None:
         raise _UsageError("--strict requires --seed when the run consumes randomness")
+    if args.seed is not None and args.seed < 0:
+        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
     return 0 if args.seed is None else args.seed
 
 

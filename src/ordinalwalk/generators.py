@@ -45,6 +45,8 @@ class GeneratorSpec:
             raise SpecError(f"unknown generator kind {self.kind!r}")
         if self.length < 1:
             raise SpecError(f"length must be >= 1, got {self.length}")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
         if self.kind == "walk" and self.step is None:
             raise SpecError("walk generation needs a StepModel")
         if self.kind in ("logistic", "mod10"):

@@ -37,13 +37,20 @@ def permutation_entropy(dist: PatternDistribution) -> float:
     return h / math.log2(_FACT[dist.order])
 
 
+def _check_smoothing(smoothing: float) -> None:
+    """The one smoothing check, for kl_divergence and AnalysisConfig."""
+    if not math.isfinite(smoothing):
+        raise RangeError(f"smoothing must be finite, got {smoothing}")
+    if smoothing < 0:
+        raise RangeError(f"smoothing must be >= 0, got {smoothing}")
+
+
 def _kl_rows(p_rows: np.ndarray, q_rows: np.ndarray, sample_count: int,
              smoothing: float) -> np.ndarray:
     """kl_divergence of every row of a (rows, n!) weight matrix from q_rows,
     one null's weights or one per row, all sampled from sample_count
     windows, with the smoothing rule applied row by row."""
-    if smoothing < 0:
-        raise RangeError(f"smoothing must be >= 0, got {smoothing}")
+    _check_smoothing(smoothing)
     size = p_rows.shape[-1]  # n!
     used = p_rows > 0
     unsupported = (used & (q_rows == 0)).any(axis=1)
@@ -130,8 +137,8 @@ class MetricReport:
     """One order's worth of analysis results, with provenance.
 
     model and seed describe the null model used for kl_to_model and the
-    band fields; classes_source says which class table backed g_statistic
-    ("reference" at the table orders 3..5, "rc_closure" at 6 and 7).
+    band fields; classes_source says which classes backed g_statistic
+    ("reference": the derived ones at orders 3..5; "rc_closure" at 6, 7).
     """
 
     n: int

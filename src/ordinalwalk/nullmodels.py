@@ -193,8 +193,8 @@ def step_sign_distribution(model: StepModel) -> PatternDistribution:
 
 # per-class formulas for uniform steps, valid on b in [1/2, 1): one
 # (formula below 2/3, formula above) pair per class of
-# equivalence_classes(n), in its order, with None meaning one branch;
-# each line ends with the class's lowest member
+# equivalence_classes(n), whose classes are ordered by their lowest
+# member, which ends each line; None means one branch
 
 _UNIF3 = [
     (lambda b: b ** 2, None),  # 123

@@ -27,7 +27,7 @@ def _covers_all(table, n):
 
 
 def test_reference_tables_partition():
-    for n, count in ((3, 4), (4, 14), (5, 61)):
+    for n, count in ((3, 4), (4, 14), (5, 58)):
         table = equivalence_classes(n)
         assert len(table.classes) == count
         assert _covers_all(table, n)

@@ -12,21 +12,27 @@ vectors are therefore equally likely under every i.i.d. step law.
 The orbits are found from points of the sorted cone y1 < ... < y(n-1)
 drawn from a fixed seed, and checked complete by the known chamber totals
 of the arrangement: 6, 32 and 370 for n = 3, 4, 5 (OEIS A034997; Billera
-et al. 2012, "Maximal unbalanced families").
+et al. 2012, "Maximal unbalanced families"). This sampler is the
+independent reference for the package, which derives its classes from the
+generic integer step vectors of a box instead; the box is checked here to
+reach every chamber and every orbit, which is what makes that derivation
+the full partition.
 """
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
 
 from ordinalwalk import equivalence_classes, lex_unrank, pattern_counts, rc_closure
+from ordinalwalk.classes import _RADIUS
 
 CHAMBERS = {3: 6, 4: 32, 5: 370}
 ORBITS = {3: 4, 4: 10, 5: 36}
 
-# the three pairs of n = 5 table classes that are provably equal
+# the three pairs of classes that a hand-typed n = 5 table once split,
+# though each pair is provably equal
 MERGED_AT_5 = [
     {"14532", "43125", "21453", "31254"},
     {"15432", "43215", "21543", "32154"},
@@ -99,13 +105,27 @@ def test_tables_are_the_full_partition_at_three_and_four(n):
     assert derived_classes(n) == as_sets(equivalence_classes(n))
 
 
-def test_five_table_splits_three_provably_equal_pairs():
-    derived = derived_classes(5)
-    table = as_sets(equivalence_classes(5))
-    assert len(table) == 61 and len(derived) == 58
-    assert sorted(map(sorted, derived - table)) == sorted(map(sorted, MERGED_AT_5))
+def test_five_classes_are_the_sampled_partition_with_the_three_pairs_merged():
+    classes = as_sets(equivalence_classes(5))
+    assert len(classes) == 58
+    assert classes == derived_classes(5)
     for merged in MERGED_AT_5:
-        assert sum(group <= merged for group in table) == 2
+        assert merged in classes
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_the_step_box_reaches_every_chamber_and_orbit(n):
+    # the generic integer vectors of the package's box, walked in every
+    # step order, land in every chamber of the arrangement
+    k = n - 1
+    subsets = np.array([[(s >> i) & 1 for i in range(k)] for s in range(1, 2 ** k)])
+    steps = np.array(list(combinations_with_replacement(range(-_RADIUS, _RADIUS + 1), k)))
+    steps = steps[(steps @ subsets.T != 0).all(axis=1)]
+    perms = np.array(list(permutations(range(k))))
+    bits = 1 << np.arange(len(subsets), dtype=np.int64)
+    chambers = ((steps[:, perms] @ subsets.T) > 0) @ bits  # (vectors, (n-1)!)
+    assert np.unique(chambers).size == CHAMBERS[n]
+    assert np.unique(chambers.min(axis=1)).size == ORBITS[n]
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -20,6 +20,7 @@ from ordinalwalk import (
     StepModel,
     TiePolicy,
     emit,
+    kl_divergence,
     lex_unrank,
     pattern_counts,
     symmetry_transform,
@@ -29,13 +30,20 @@ from ordinalwalk.patterns import _symmetry_ranks
 
 PATTERN_12 = OrdinalPattern((1, 2))
 PATTERN_123 = OrdinalPattern((1, 2, 3))
+SAMPLED_3 = PatternDistribution(3, np.full(6, 1 / 6), "empirical", 60)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: AnalysisConfig(smoothing=-1), RangeError, "smoothing must be >= 0, got -1"),
+    (lambda: AnalysisConfig(smoothing=float("nan")), RangeError,
+     "smoothing must be finite, got nan"),
+    (lambda: AnalysisConfig(smoothing=float("inf")), RangeError,
+     "smoothing must be finite, got inf"),
+    (lambda: AnalysisConfig(seed=-1), RangeError, "seed must be >= 0, got -1"),
     (lambda: emit([]), RangeError, "nothing to emit"),
     (lambda: emit([object()]), RangeError, "emit expects AnalysisResult values"),
-], ids=["negative smoothing", "emit nothing", "emit a non-result"])
+], ids=["negative smoothing", "NaN smoothing", "infinite smoothing", "negative seed",
+        "emit nothing", "emit a non-result"])
 def test_analysis_refuses(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -75,9 +83,24 @@ def walk_csv(tmp_path):
     (["simulate", "--kind", "walk"], None, 1, "usage error: simulate needs --length"),
     (["simulate", "--kind", "walk", "--length", "10", "--seed", "1"], None, 1,
      "usage error: walk simulation needs --step-family"),
+    (["analyze", "{csv}", "--seed", "-1"], None, 1, "usage error: --seed must be >= 0, got -1"),
+    (["window", "{csv}", "--window", "20", "--stride", "10", "--seed", "-1"], None, 1,
+     "usage error: --seed must be >= 0, got -1"),
+    (["simulate", "--kind", "iid_uniform", "--length", "10", "--seed", "-1"], None, 1,
+     "usage error: --seed must be >= 0, got -1"),
+    (["nullmodel", "--n", "3", "--samples", "100", "--seed", "-1"], None, 1,
+     "usage error: --seed must be >= 0, got -1"),
+    (["analyze", "{csv}", "--config", "{config}"], '{"seed": -1}', 1,
+     "usage error: --seed must be >= 0, got -1"),
+    (["analyze", "{csv}", "--walk-length", "300", "--replicates", "4", "--smoothing", "nan"],
+     None, 3, "numerical error: smoothing must be finite, got nan"),
+    (["analyze", "{csv}", "--walk-length", "300", "--replicates", "4", "--smoothing", "inf"],
+     None, 3, "numerical error: smoothing must be finite, got inf"),
 ], ids=["bad integer list", "bad number list", "unreadable config", "config not JSON",
         "config not an object", "simulate without kind", "simulate without length",
-        "walk without step family"])
+        "walk without step family", "analyze negative seed", "window negative seed",
+        "simulate negative seed", "nullmodel negative seed", "config negative seed",
+        "NaN smoothing", "infinite smoothing"])
 def test_cli_refuses(tmp_path, walk_csv, capsys, argv, config, code, message):
     paths = {"csv": walk_csv, "missing": tmp_path / "missing.json",
              "config": tmp_path / "config.json"}
@@ -93,21 +116,27 @@ def test_cli_refuses(tmp_path, walk_csv, capsys, argv, config, code, message):
     (dict(kind="logistic", x0="a half"), "cannot read x0 'a half' as a number"),
     (dict(kind="logistic", x0=None), "cannot read x0 None as a number"),
     (dict(kind="mod10", x0="1/x"), "cannot read x0 '1/x' as a rational"),
-], ids=["logistic x0", "logistic x0 None", "mod10 x0"])
+    (dict(kind="iid_uniform", seed=-1), "seed must be >= 0, got -1"),
+], ids=["logistic x0", "logistic x0 None", "mod10 x0", "negative seed"])
 def test_generators_refuse(spec, message):
     with pytest.raises(SpecError, match=message):
         GeneratorSpec(length=10, **spec)
 
 
-@pytest.mark.parametrize("fields, message", [
-    (dict(permutation_entropy=1.5, missing_count=0), r"permutation entropy out of \[0, 1\]"),
-    (dict(permutation_entropy=-0.1, missing_count=0), r"permutation entropy out of \[0, 1\]"),
-    (dict(permutation_entropy=0.5, missing_count=-1), "missing_count out of range: -1"),
-    (dict(permutation_entropy=0.5, missing_count=7), "missing_count out of range: 7"),
-], ids=["entropy above 1", "entropy below 0", "negative missing", "missing above 3!"])
-def test_metrics_refuse(fields, message):
+@pytest.mark.parametrize("call, message", [
+    (lambda: MetricReport(3, 1.5, 0), r"permutation entropy out of \[0, 1\]"),
+    (lambda: MetricReport(3, -0.1, 0), r"permutation entropy out of \[0, 1\]"),
+    (lambda: MetricReport(3, 0.5, -1), "missing_count out of range: -1"),
+    (lambda: MetricReport(3, 0.5, 7), "missing_count out of range: 7"),
+    (lambda: kl_divergence(SAMPLED_3, SAMPLED_3, float("nan")),
+     "smoothing must be finite, got nan"),
+    (lambda: kl_divergence(SAMPLED_3, SAMPLED_3, float("-inf")),
+     "smoothing must be finite, got -inf"),
+], ids=["entropy above 1", "entropy below 0", "negative missing", "missing above 3!",
+        "NaN smoothing", "infinite smoothing"])
+def test_metrics_refuse(call, message):
     with pytest.raises(RangeError, match=message):
-        MetricReport(n=3, **fields)
+        call()
 
 
 @pytest.mark.parametrize("call, message", [

@@ -67,6 +67,8 @@ COMMANDS = [
     ("nullmodel associated csv", ["nullmodel", "--family", "associated", "--input", WALK,
                                   "--n", "4", "--walk-length", "50000", "--format", "csv",
                                   "--seed", "15"]),
+    ("classes n=3", ["classes", "--n", "3"]),
+    ("classes n=4", ["classes", "--n", "4"]),
     ("classes n=5", ["classes", "--n", "5"]),
     ("classes n=7 closure", ["classes", "--n", "7", "--closure"]),
     ("oracle n=4", ["oracle", "--n", "4", "--b", "0.37", "--resolution", "300"]),
