@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .classes import equivalence_classes, rc_closure
+from .classes import walk_classes
 from .errors import EmptyError, LengthError, OrderError, ParseError, RangeError
 from .metrics import (
     MetricReport,
@@ -318,7 +318,7 @@ def analyze_run(series, config: AnalysisConfig, window_start: int = 1) -> Analys
         n = null.order
         empirical = empiricals[n]
         kl = kl_divergence(empirical, null.distribution, config.smoothing)
-        classes = equivalence_classes(n) if n <= 5 else rc_closure(n)
+        classes = walk_classes(n)
         report = MetricReport(
             n=n,
             permutation_entropy=permutation_entropy(empirical),

@@ -10,7 +10,9 @@ equally often, over all (n-1)! step orders, are equally likely. The box
 reaches all 6, 32 and 370 chambers (OEIS A034997), as
 tests/test_derived_classes.py checks, so the 4, 14 and 58 classes are the
 full partition. Reverse-complement closure gives the finer two-element
-grouping that holds at every order, the fallback beyond n = 5.
+grouping that holds at every order, and for a walk plus i.i.d. noise,
+whose increments are no longer exchangeable. walk_classes picks between
+the two.
 """
 
 from __future__ import annotations
@@ -128,6 +130,14 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     partners = _symmetry_ranks(n, "reverse_complement").tolist()
     groups = tuple((r,) if p == r else (r, p) for r, p in enumerate(partners) if r <= p)
     return EquivalenceClassTable(n, groups, "rc_closure")
+
+
+def walk_classes(n: int, jittered: bool = False) -> EquivalenceClassTable:
+    """The finest partition known to be equal-probability at order n:
+    equivalence_classes(n) for an i.i.d.-step walk at n in 3..5 (stable
+    ties and any delay keep the steps i.i.d.), else rc_closure(n), which
+    also holds for a walk plus i.i.d. noise (jittered)."""
+    return rc_closure(n) if jittered or n not in _DERIVED_ORDERS else equivalence_classes(n)
 
 
 @dataclass(frozen=True)

@@ -118,8 +118,9 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                        default="associated", help="null model kind (default associated)")
         p.add_argument("--walk-length", type=int, dest="walk_length",
                        help="values the associated null draws, in walks of the "
-                            "series' length (default max(1e6, 100N)); a larger "
-                            "band draws one walk per replicate")
+                            "series' length, averaged within pattern classes "
+                            "(default max(5e5, 50N)); a larger band draws one "
+                            "walk per replicate")
         step_flags(p)
         p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                        dest="closed_form", default=False,

@@ -16,11 +16,14 @@ kl_to_null                     divergence of a series from a chosen null
 One sampler draws every walk. An analysis run draws the associated null
 and its bootstrap band once: max(R, ceil(L / N)) walks of the series'
 length N, ranked as the series is. The null counts every walk, so its
-sample_count grows when R replicates outnumber ceil(L / N) walks. The
-band is the first R walks, each scored against the null less its own
-walk (leave-one-out), so the band measures replicate noise around the
-null the series (kl_to_model) is held to. A parametric or closed-form
-null's band draws R walks of the series' own steps from a key of its own.
+sample_count grows when R replicates outnumber ceil(L / N) walks, and
+averages the counts within the order's equal-probability classes
+(classes.walk_classes), which keeps it unbiased and about halves its
+variance. The band is the first R walks, each scored against the null
+less its own walk (leave-one-out), averaged the same way, so the band
+measures replicate noise around the null the series (kl_to_model) is
+held to. A parametric or closed-form null's band draws R walks of the
+series' own steps from a key of its own.
 Every draw is counted as pattern_counts counts a stack (patterns._counted).
 A parametric null's walks hold one top-order window each, so it counts
 that window and folds it down.
@@ -51,7 +54,7 @@ from typing import Literal
 import numpy as np
 
 from . import patterns
-from .classes import equivalence_classes
+from .classes import EquivalenceClassTable, equivalence_classes, walk_classes
 from .errors import LengthError, OrderError, RangeError
 from .metrics import _kl_rows, kl_divergence
 from .patterns import (
@@ -62,6 +65,7 @@ from .patterns import (
     _as_values,
     _blocks,
     _check_orders,
+    _check_seed,
     _check_span,
     _counted,
     _fold,
@@ -517,9 +521,13 @@ def volume_oracle(
     Counts midpoint-grid cells of the step cube whose partial sums realize
     the pattern (tied cells count half), exactly, and rounds the volume
     once. Independent of the closed forms and of any random number stream,
-    with error O(1/resolution); this is the arbiter the closed-form tables
-    were validated against. resolution is an integer with
-    2 <= resolution and 2 resolution^(n-1) <= 2^53.
+    with error O(1/resolution); the closed-form tables were validated
+    against it, but it is an estimate, not an arbiter. Its error is first
+    order in 1/resolution when (1 - b) resolution is off an integer, where
+    cells straddle the cube's faces: at n = 4 and b = 5/7 its largest
+    pattern error is 1.09e-3, 8.19e-4 and 3.28e-4 at resolutions 400, 800
+    and 2 000. resolution is an integer with 2 <= resolution and
+    2 resolution^(n-1) <= 2^53.
     """
     if model.family != "uniform_b":
         raise RangeError("the volume oracle is defined for uniform_b models")
@@ -541,8 +549,9 @@ def volume_oracle(
 # --------------------------------------------------------------------------
 
 def default_walk_length(n_obs: int) -> int:
-    """Values an associated null draws, in series-length walks: max(10^6, 100 N)."""
-    return max(1_000_000, 100 * n_obs)
+    """Values an associated null draws, in series-length walks: max(5 10^5, 50 N),
+    which averaged within classes match raw frequencies of twice as many."""
+    return max(500_000, 50 * n_obs)
 
 
 def _own_steps(values: np.ndarray) -> StepModel:
@@ -559,12 +568,13 @@ class NullSpec:
     """Which null model to hold a series against.
 
     step None is the associated null: the series' own steps resampled into
-    ceil(walk_length / N) walks of its length N, walk_length max(10^6, 100 N)
-    by default. An analysis run with R band replicates draws
-    max(R, ceil(walk_length / N)) walks, scores the first R leave-one-out,
-    and its null's sample_count grows when R is the larger. A StepModel is
-    a parametric step law, evaluated by Monte Carlo over `samples` walks of
-    the top order, or exactly when closed_form.
+    ceil(walk_length / N) walks of its length N, walk_length max(5 10^5, 50 N)
+    by default, its counts averaged within the order's walk_classes. An
+    analysis run with R band replicates draws max(R, ceil(walk_length / N))
+    walks, scores the first R leave-one-out, and its null's sample_count
+    grows when R is the larger. A StepModel is a parametric step law,
+    evaluated by Monte Carlo over `samples` walks of the top order (raw
+    frequencies), or exactly when closed_form.
 
     This is the one place that decides which nulls have a closed form:
     uniform steps, and normal steps with mu = 0. The associated null and an
@@ -631,13 +641,17 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
     realizes it, and the divergences from it of `replicates` walks of the
     series' own steps, ranked like the null (None with no replicates).
 
-    An associated null draws max(replicates, ceil(walk_length / N)) walks;
-    its band is the first `replicates` of them, each scored against the
-    pool less its own walk. A parametric or closed-form null's band draws
-    its own walks from band_seed and scores them against that null. Each
-    walk is smoothed as kl_divergence would smooth it.
+    An associated null draws max(replicates, ceil(walk_length / N)) walks
+    and averages their pooled counts within walk_classes: the full classes
+    at orders 3..5, reverse-complement pairs at 2, 6 and 7 and under a
+    jitter policy. Its band is the first `replicates` walks, each scored
+    against the pool less its own walk, averaged the same way. A parametric
+    or closed-form null's band draws its own walks from band_seed and
+    scores them against that null. Each walk is smoothed as kl_divergence
+    would smooth it.
     """
     _check_orders(orders)
+    _check_seed(seed)
     step, method, own = spec.step, "monte_carlo", spec.step is None
     # an int seed is recorded here; a derived SeedSequence is recorded upstream
     recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
@@ -650,36 +664,54 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
                  else closed_form_normal_zero_mean(n) for n in orders}
         method, recorded = "closed_form", None
     else:
-        if own:  # the band's walks and more, every window counted
+        if own:  # the band's walks and more, every window counted, averaged within classes
             step = steps
             budget = -(-(spec.walk_length or default_walk_length(values.size)) // length)
             counts, kept = _drawn_counts(step, max(replicates, budget), length, orders, d,
                                          seed, policy, keep=replicates)
+            classes = {n: walk_classes(n, policy is not None and policy.mode == "jitter")
+                       for n in orders}
+            means = {n: _class_means(c, classes[n]) for n, c in counts.items()}
         else:  # the step law itself: walks of one top-order window, at delay 1
             # unjittered, each order counting its leading values
             top = max(orders)
             drawn, _ = _drawn_counts(step, spec.samples, top, (top,), 1, seed)
-            counts = {n: _fold(drawn[top], top, n, np.int64) for n in orders}
-        dists = {n: PatternDistribution(n, c / c.sum(), "model", int(c.sum()))
+            counts = means = {n: _fold(drawn[top], top, n, np.int64) for n in orders}
+        dists = {n: PatternDistribution(n, means[n] / c.sum(), "model", int(c.sum()))
                  for n, c in counts.items()}
     if replicates and not own:  # a given null's band draws walks of its own
         _, kept = _drawn_counts(steps, replicates, length, orders, d, band_seed, policy,
                                 keep=replicates)
     return tuple((NullModel(step, n, dists[n], method, dists[n].sample_count, recorded),
                   _band(n, kept[n], length - (n - 1) * d, dists[n],
-                        counts[n] if own else None, smoothing) if replicates else None)
+                        counts[n] if own else None, smoothing, classes[n] if own else None)
+                  if replicates else None)
                  for n in orders)
 
 
+def _class_means(counts: np.ndarray, classes: EquivalenceClassTable) -> np.ndarray:
+    """counts, one n! row or a stack of them, with each pattern's count
+    replaced by the mean count of its class in that row."""
+    ids, k = classes.ids, len(classes)
+    rows = counts.reshape(-1, ids.size)
+    cells = (np.arange(len(rows))[:, None] * k + ids).ravel()
+    sums = np.bincount(cells, rows.ravel(), minlength=len(rows) * k).reshape(-1, k)
+    return (sums / np.bincount(ids))[:, ids].reshape(counts.shape)
+
+
 def _band(n: int, kept, windows: int, null: PatternDistribution, pool,
-          smoothing: float) -> np.ndarray:
+          smoothing: float, classes: EquivalenceClassTable | None) -> np.ndarray:
     """Divergences from the null of walks with the kept counts of `windows`
     order-n windows each, scored at most patterns._CHUNK counts at a time.
-    With pooled counts, each walk leaves the pool before it is scored."""
+    With pooled counts, each walk leaves the pool before it is scored, and
+    the rest is averaged within classes, as the null is; the walk's own
+    counts stand in for the series and are not."""
     m = null.sample_count - (0 if pool is None else windows)
     rows = max(1, patterns._CHUNK // _FACT[n])
     return np.concatenate([
-        _kl_rows(c / windows, null.weights if pool is None else (pool - c) / m, m, smoothing)
+        _kl_rows(c / windows,
+                 null.weights if pool is None else _class_means(pool - c, classes) / m,
+                 m, smoothing)
         for c in (kept[lo:lo + rows] for lo in range(0, len(kept), rows))])
 
 
@@ -688,14 +720,15 @@ def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
     """Realize a NullSpec at several orders: one NullModel per order, as given.
 
     A closed form is evaluated at each order. Any other null is one draw
-    from `seed`, ranked at every order in one pass. The associated null is
-    ceil(walk_length / N) walks of the series' length N (or the top
-    order's span, if longer), every window counted and ranked as the
-    series is, at delay d and tie policy; an analysis run with a band of
-    more replicates than that draws one walk per replicate instead, so
-    the null's sample_count grows. A parametric null is `samples` walks
-    of max(orders) values, each order counting their leading values, at
-    delay 1 with no jitter.
+    from `seed` (an int >= 0 or a SeedSequence), ranked at every order in
+    one pass. The associated null is ceil(walk_length / N) walks of the
+    series' length N (or the top order's span, if longer), every window
+    counted and ranked as the series is, at delay d and tie policy, and its
+    counts averaged within classes.walk_classes(n); an analysis run with a
+    band of more replicates than that draws one walk per replicate instead,
+    so the null's sample_count grows. A parametric null is the raw
+    frequencies of `samples` walks of max(orders) values, each order
+    counting their leading values, at delay 1 with no jitter.
     """
     return tuple(null for null, _ in _nulls_and_bands(series, orders, spec, seed, d, policy))
 
@@ -719,8 +752,9 @@ def kl_to_null(
 
     model_spec is a NullSpec (NullSpec(step) simulates a step law with the
     default sample budget), or None for the associated null, ranked like
-    the series. Pseudocount smoothing kicks in only if the sampled null misses a
-    pattern the series realizes.
+    the series and averaged within its classes. Pseudocount smoothing kicks
+    in only if the sampled null misses a pattern the series realizes; an
+    associated null misses one only when it misses the pattern's whole class.
     """
     null_dist = build_null(series, n, model_spec or NullSpec(), seed, d, policy).distribution
     p = empirical_distribution(series, n, d, policy)

@@ -136,6 +136,14 @@ class TiePolicy:
             raise RangeError(f"jitter_scale must be finite, got {self.jitter_scale}")
         if self.mode == "jitter" and not self.jitter_scale > 0:
             raise RangeError("jitter mode requires jitter_scale > 0")
+        _check_seed(self.seed)
+
+
+def _check_seed(seed) -> None:
+    """Refuse a negative int seed as a RangeError, before numpy refuses it
+    untyped; a SeedSequence (or None, for fresh entropy) passes."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise RangeError(f"seed must be >= 0, got {seed}")
 
 
 @dataclass(frozen=True, order=True)

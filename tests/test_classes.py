@@ -19,6 +19,7 @@ from ordinalwalk import (
     symmetry_transform,
     validate_classes,
 )
+from ordinalwalk.classes import walk_classes
 
 
 def _covers_all(table, n):
@@ -94,6 +95,15 @@ def test_rc_closure_refines_reference_tables(n):
             lookup[rank] = i
     for group in fine.classes:
         assert len({lookup[rank] for rank in group}) == 1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_walk_classes_are_the_finest_known_at_each_order(n):
+    # exchangeable steps give the full classes where they are derived;
+    # a walk plus noise, and every other order, keeps the reverse-complement pairs
+    full = equivalence_classes(n) if 3 <= n <= 5 else rc_closure(n)
+    assert walk_classes(n) is full
+    assert walk_classes(n, jittered=True) is rc_closure(n)
 
 
 def test_validate_classes_accepts_its_own_model():

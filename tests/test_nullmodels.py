@@ -240,8 +240,9 @@ def test_oracle_resolution_keeps_cell_sums_exact():
 # ------------------------------------------------------ associated null
 
 def test_default_walk_length_floor():
-    assert default_walk_length(100) == 1_000_000
-    assert default_walk_length(50_000) == 5_000_000
+    assert default_walk_length(100) == 500_000
+    assert default_walk_length(10_000) == 500_000
+    assert default_walk_length(50_000) == 2_500_000
 
 
 # ------------------------------------------------------------- divergences

@@ -1,7 +1,8 @@
 """An analysis run draws the associated null and its bootstrap band once.
 
-The null is max(R, ceil(L / N)) walks of the series' own steps; the band
-is the first R of them, each scored against the pool less its own walk.
+The null is max(R, ceil(L / N)) walks of the series' own steps, averaged
+within classes; the band is the first R of them, each scored against the
+pool less its own walk, averaged the same way.
 A parametric or closed-form null's band draws R own-step walks of its own.
 """
 
@@ -24,6 +25,7 @@ from ordinalwalk import (
     kl_divergence,
 )
 from ordinalwalk import nullmodels, patterns
+from ordinalwalk.classes import equivalence_classes, rc_closure
 from ordinalwalk.cli import main
 from ordinalwalk.nullmodels import _nulls_and_bands
 from ordinalwalk.patterns import _FACT, _lag_ranks
@@ -132,8 +134,13 @@ def test_each_band_walk_is_scored_against_the_pool_without_it(case):
         pool, windows = counts.sum(axis=0), values.size - (n - 1) * d
         assert null.sample_count == rows * windows == pool.sum()
         assert band.shape == (replicates,)
+        # the classes every walk of i.i.d. steps makes equally likely; a
+        # walk plus noise keeps only the reverse-complement pairs
+        ids = (equivalence_classes(n) if 3 <= n <= 5 and mode != "jitter"
+               else rc_closure(n)).ids
         for row, kl in zip(counts, band):
-            rest = pool - row
+            rest = pool - row  # averaged within classes; the walk's own row is not
+            rest_mean = (np.bincount(ids, rest) / np.bincount(ids))[ids]
             p = PatternDistribution(n, row / windows, "empirical", windows)
-            q = PatternDistribution(n, rest / rest.sum(), "model", int(rest.sum()))
+            q = PatternDistribution(n, rest_mean / rest.sum(), "model", int(rest.sum()))
             assert kl == kl_divergence(p, q, smoothing)

@@ -19,9 +19,11 @@ from ordinalwalk import (
     SpecError,
     StepModel,
     TiePolicy,
+    build_null,
     emit,
     kl_divergence,
     lex_unrank,
+    monte_carlo_distribution,
     pattern_counts,
     symmetry_transform,
 )
@@ -31,6 +33,7 @@ from ordinalwalk.patterns import _symmetry_ranks
 PATTERN_12 = OrdinalPattern((1, 2))
 PATTERN_123 = OrdinalPattern((1, 2, 3))
 SAMPLED_3 = PatternDistribution(3, np.full(6, 1 / 6), "empirical", 60)
+WALK_40 = np.cumsum(np.arange(40.0) % 3 - 1)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -148,8 +151,16 @@ def test_metrics_refuse(call, message):
     (lambda: StepModel("cauchy"), "unknown step family 'cauchy'"),
     (lambda: NullSpec(step="uniform"), "a null's step law must be a StepModel"),
     (lambda: NullSpec(walk_length=1), "walk_length must be >= 2"),
+    (lambda: build_null(WALK_40, 3, NullSpec(StepModel.uniform(0.6), samples=100), -1),
+     "seed must be >= 0, got -1"),
+    (lambda: build_null(WALK_40, 3, NullSpec(walk_length=2000), -1),
+     "seed must be >= 0, got -1"),
+    (lambda: monte_carlo_distribution(StepModel.uniform(0.6), 3, 100, seed=-1),
+     "seed must be >= 0, got -1"),
 ], ids=["uniform with mu", "normal with b", "normal with steps", "empirical with sigma",
-        "unknown family", "step not a StepModel", "walk length 1"])
+        "unknown family", "step not a StepModel", "walk length 1",
+        "parametric null negative seed", "associated null negative seed",
+        "Monte Carlo negative seed"])
 def test_nullmodels_refuse(call, message):
     with pytest.raises(RangeError, match=message):
         call()
@@ -157,6 +168,7 @@ def test_nullmodels_refuse(call, message):
 
 @pytest.mark.parametrize("call, message", [
     (lambda: TiePolicy("random"), "unknown tie mode 'random'"),
+    (lambda: TiePolicy("jitter", 0.1, seed=-1), "seed must be >= 0, got -1"),
     (lambda: OrdinalPattern.from_string("1a2"), "cannot parse pattern string '1a2'"),
     (lambda: PatternDistribution(3, np.full(5, 0.2), "model"),
      r"expected 6 weights for order 3, got shape \(5,\)"),
@@ -175,7 +187,7 @@ def test_nullmodels_refuse(call, message):
      "a series stack must be nonempty and finite"),
     (lambda: pattern_counts(np.zeros((0, 3)), (2,)),
      "a series stack must be nonempty and finite"),
-], ids=["unknown tie mode", "unparsable pattern", "weights of another shape",
+], ids=["unknown tie mode", "jitter negative seed", "unparsable pattern", "weights of another shape",
         "negative weight", "unknown kind", "negative sample count", "weight_of another order",
         "rank past n!", "negative rank", "float rank", "unknown symmetry",
         "unknown symmetry table", "NaN in a stack", "empty stack"])

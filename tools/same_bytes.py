@@ -67,6 +67,10 @@ COMMANDS = [
     ("nullmodel associated csv", ["nullmodel", "--family", "associated", "--input", WALK,
                                   "--n", "4", "--walk-length", "50000", "--format", "csv",
                                   "--seed", "15"]),
+    ("analyze orders 3..7 no band", ["analyze", WALK, "--orders", "3,4,5,6,7",
+                                     "--replicates", "0", "--seed", "16"]),
+    ("nullmodel associated n=2", ["nullmodel", "--family", "associated", "--input", WALK,
+                                  "--n", "2", "--walk-length", "50000", "--seed", "17"]),
     ("classes n=3", ["classes", "--n", "3"]),
     ("classes n=4", ["classes", "--n", "4"]),
     ("classes n=5", ["classes", "--n", "5"]),
