@@ -10,9 +10,7 @@ equally often, over all (n-1)! step orders, are equally likely. The box
 reaches all 6, 32 and 370 chambers (OEIS A034997), as
 tests/test_derived_classes.py checks, so the 4, 14 and 58 classes are the
 full partition. Reverse-complement closure gives the finer two-element
-grouping that holds at every order, and for a walk plus i.i.d. noise,
-whose increments are no longer exchangeable. walk_classes picks between
-the two.
+grouping that holds at every order. walk_classes states which applies.
 """
 
 from __future__ import annotations
@@ -132,11 +130,25 @@ def rc_closure(n: int) -> EquivalenceClassTable:
     return EquivalenceClassTable(n, groups, "rc_closure")
 
 
+def _class_means(counts: np.ndarray, classes: EquivalenceClassTable) -> np.ndarray:
+    """counts, one n! row or a stack of them, with each pattern's count
+    replaced by the mean count of its class in that row."""
+    ids, k = classes.ids, len(classes)
+    rows = counts.reshape(-1, ids.size)
+    cells = (np.arange(len(rows))[:, None] * k + ids).ravel()
+    sums = np.bincount(cells, rows.ravel(), minlength=len(rows) * k).reshape(-1, k)
+    return (sums / np.bincount(ids))[:, ids].reshape(counts.shape)
+
+
 def walk_classes(n: int, jittered: bool = False) -> EquivalenceClassTable:
-    """The finest partition known to be equal-probability at order n:
-    equivalence_classes(n) for an i.i.d.-step walk at n in 3..5 (stable
-    ties and any delay keep the steps i.i.d.), else rc_closure(n), which
-    also holds for a walk plus i.i.d. noise (jittered)."""
+    """The finest partition known to be equal-probability at order n, and
+    the one place that decides which classes apply: equivalence_classes(n)
+    for an i.i.d.-step walk at n in 3..5 (stable ties and any delay keep
+    the steps i.i.d.), else rc_closure(n), which also holds for a walk
+    plus i.i.d. noise (jittered), whose steps are not exchangeable. The
+    associated null and its band average within these classes, and
+    g_statistic reads the unjittered ones: it asks whether the series is
+    a walk."""
     return rc_closure(n) if jittered or n not in _DERIVED_ORDERS else equivalence_classes(n)
 
 

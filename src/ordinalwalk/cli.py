@@ -18,6 +18,8 @@ import sys
 from .analysis import (
     AnalysisConfig,
     WindowSpec,
+    _csv_bytes,
+    _json_bytes,
     analyze_run,
     emit,
     ingest_csv,
@@ -117,20 +119,15 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
         p.add_argument("--null", choices=("associated", "uniform", "normal"),
                        default="associated", help="null model kind (default associated)")
         p.add_argument("--walk-length", type=int, dest="walk_length",
-                       help="values the associated null draws, in walks of the "
-                            "series' length, averaged within pattern classes "
-                            "(default max(5e5, 50N)); a larger band draws one "
-                            "walk per replicate")
+                       help="values the associated null draws (default max(5e5, 50N))")
         step_flags(p)
         p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
                        dest="closed_form", default=False,
-                       help="use exact null tables (orders 3, 4)")
+                       help="use exact null tables")
         p.add_argument("--null-samples", type=int, dest="null_samples", default=1_000_000,
                        help="Monte Carlo draws for parametric nulls (default 1e6)")
         p.add_argument("--replicates", "-R", type=int, default=400,
-                       help="bootstrap replicates (default 400, 0 disables): the "
-                            "associated null's first R walks, each scored "
-                            "leave-one-out")
+                       help="bootstrap replicates (default 400, 0 disables)")
         p.add_argument("--smoothing", type=float, default=1.0,
                        help="pseudocount for sampled nulls (default 1)")
         p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json",
@@ -170,7 +167,7 @@ def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
                    default="uniform", help="step law (default uniform)")
     step_flags(p)
     p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
-                   dest="closed_form", default=False, help="use exact tables (orders 3, 4)")
+                   dest="closed_form", default=False, help="use exact tables")
     p.add_argument("--samples", type=int, default=1_000_000,
                    help="Monte Carlo draws (default 1e6)")
     p.add_argument("--walk-length", type=int, dest="walk_length",
@@ -323,8 +320,7 @@ def _cmd_simulate(args) -> int:
         args.kind, args.length, seed, step, x0=args.x0, period=args.period,
         phase=args.phase, amplitude=args.amplitude))
     if args.format == "json":
-        doc = {"kind": args.kind, "seed": seed, "values": [float(v) for v in series.values]}
-        payload = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+        payload = _json_bytes({"kind": args.kind, "seed": seed, "values": series.values.tolist()})
     else:
         payload = ("\n".join(repr(float(v)) for v in series.values) + "\n").encode()
         print(f"seed={seed}", file=sys.stderr)
@@ -333,7 +329,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_nullmodel(args) -> int:
-    series = [0.0, 1.0]
+    series = ()  # a step law reads no series
     if args.family == "associated":
         if not args.input:
             raise _UsageError("associated nullmodel needs --input")
@@ -343,26 +339,23 @@ def _cmd_nullmodel(args) -> int:
     seed = _seed(args, not spec.closed_form)
     model = build_null(series, args.n, spec, seed)
     if args.format == "json":
-        payload = (json.dumps(model.to_json_dict(), indent=2, sort_keys=True) + "\n").encode()
+        payload = _json_bytes(model.to_json_dict())
     else:
-        lines = ["pattern,weight"]
-        lines += [f"{pat},{weight!r}" for pat, weight in model.distribution.as_dict().items()]
-        payload = ("\n".join(lines) + "\n").encode()
+        payload = _csv_bytes([("pattern", "weight"), *model.distribution.as_dict().items()])
     _write(args, payload)
     return 0
 
 
 def _cmd_classes(args) -> int:
     table = rc_closure(args.n) if args.closure else equivalence_classes(args.n)
-    doc = {"n": args.n, "classes": table.as_strings()}
-    _write(args, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+    _write(args, _json_bytes({"n": args.n, "classes": table.as_strings()}))
     return 0
 
 
 def _cmd_oracle(args) -> int:
     n = args.n
     _check_oracle_order(n)  # before all_patterns, whose own range is wider
-    lines = ["b,pattern,volume,closed_form,abs_err"]
+    rows = [("b", "pattern", "volume", "closed_form", "abs_err")]
     for b in args.b:
         try:
             closed = closed_form_uniform(n, b)
@@ -370,12 +363,12 @@ def _cmd_oracle(args) -> int:
             closed = None
         for pattern in all_patterns(n):
             volume = volume_oracle(pattern, StepModel.uniform(b), args.resolution)
-            error_cells = ","  # closed_form,abs_err stay empty without a closed form
+            expected = error = None  # empty cells without a closed form
             if closed is not None:
                 expected = float(closed.weights[pattern.rank])
-                error_cells = f"{expected!r},{abs(volume - expected)!r}"
-            lines.append(f"{b},{pattern},{volume!r},{error_cells}")
-    _write(args, ("\n".join(lines) + "\n").encode())
+                error = abs(volume - expected)
+            rows.append((b, pattern, volume, expected, error))
+    _write(args, _csv_bytes(rows))
     return 0
 
 

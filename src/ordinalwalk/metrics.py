@@ -7,11 +7,7 @@ g_statistic             total within-class deviation from class means
 momentum_epsilon        excess of the monotone pattern over its step-model value
 
 All logs are base 2; the log(n!) normalization makes the choice cancel.
-
-One smoothing rule holds for every divergence: q is used as given where
-it supports p; otherwise, for a sampled q (sample_count M > 0) and alpha
-> 0, the pseudocounts (count + alpha) / (M + alpha n!) replace it, and an
-exact q or alpha = 0 raises SupportError.
+kl_divergence states the one smoothing rule, which every divergence keeps.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .classes import EquivalenceClassTable
+from .classes import EquivalenceClassTable, _class_means
 from .errors import OrderMismatchError, RangeError, SupportError
 from .patterns import _FACT, PatternDistribution, _check_order
 
@@ -104,8 +100,7 @@ def g_statistic(dist: PatternDistribution, classes: EquivalenceClassTable) -> fl
         raise OrderMismatchError(
             f"distribution order {dist.order} vs table order {classes.order}"
         )
-    means = np.bincount(classes.ids, dist.weights) / np.bincount(classes.ids)
-    return float(np.abs(dist.weights - means[classes.ids]).sum())
+    return float(np.abs(dist.weights - _class_means(dist.weights, classes)).sum())
 
 
 def momentum_epsilon(
@@ -137,8 +132,8 @@ class MetricReport:
     """One order's worth of analysis results, with provenance.
 
     model and seed describe the null model used for kl_to_model and the
-    band fields; classes_source says which classes backed g_statistic
-    ("reference": the derived ones at orders 3..5; "rc_closure" at 6, 7).
+    band fields; classes_source is the source of the classes.walk_classes
+    table that backed g_statistic.
     """
 
     n: int

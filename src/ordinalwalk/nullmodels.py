@@ -13,32 +13,9 @@ build_nulls                    the null builder: a closed form per order,
                                or one draw per run ranked at every order
 kl_to_null                     divergence of a series from a chosen null
 
-One sampler draws every walk. An analysis run draws the associated null
-and its bootstrap band once: max(R, ceil(L / N)) walks of the series'
-length N, ranked as the series is. The null counts every walk, so its
-sample_count grows when R replicates outnumber ceil(L / N) walks, and
-averages the counts within the order's equal-probability classes
-(classes.walk_classes), which keeps it unbiased and about halves its
-variance. The band is the first R walks, each scored against the null
-less its own walk (leave-one-out), averaged the same way, so the band
-measures replicate noise around the null the series (kl_to_model) is
-held to. A parametric or closed-form null's band draws R walks of the
-series' own steps from a key of its own.
-Every draw is counted as pattern_counts counts a stack (patterns._counted).
-A parametric null's walks hold one top-order window each, so it counts
-that window and folds it down.
-
-The uniform closed forms hold for b in [1/2, 1); b below 1/2 reflects
-through the step sign flip, which maps b to 1-b and every pattern to its
-complement. Formula provenance for an entry that differs from its
-commonly printed version: the {1432, 2143, 3214} branch below 2/3 must
-read (1/6)(2 - 12b + 24b^2 - 15b^3) for the class-weighted total to be 1
-and the branches to meet at b = 2/3; it was validated by quadrature and
-Monte Carlo before being frozen here. The centered-normal weights are
-computed, not tabulated: a pattern is the event that the n-1 differences
-between value-adjacent entries are all positive, each difference is a
-signed interval sum of the steps, and the orthant probability of that
-Gaussian vector has a closed form for two and three variates.
+One sampler draws every walk, and every draw is counted as pattern_counts
+counts a stack (patterns._counted). NullSpec states what each null draws,
+how it is counted and averaged, and what its band is.
 """
 
 from __future__ import annotations
@@ -54,7 +31,7 @@ from typing import Literal
 import numpy as np
 
 from . import patterns
-from .classes import EquivalenceClassTable, equivalence_classes, walk_classes
+from .classes import EquivalenceClassTable, _class_means, equivalence_classes, walk_classes
 from .errors import LengthError, OrderError, RangeError
 from .metrics import _kl_rows, kl_divergence
 from .patterns import (
@@ -198,7 +175,9 @@ def step_sign_distribution(model: StepModel) -> PatternDistribution:
 # per-class formulas for uniform steps, valid on b in [1/2, 1): one
 # (formula below 2/3, formula above) pair per class of
 # equivalence_classes(n), whose classes are ordered by their lowest
-# member, which ends each line; None means one branch
+# member, which ends each line; None means one branch. 1432's branch below
+# 2/3 is not the commonly printed one; test_branch_formulas_join_continuously
+# checks it
 
 _UNIF3 = [
     (lambda b: b ** 2, None),  # 123
@@ -293,10 +272,10 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, seed):
     """The blocks of patterns._blocks over `rows` walks of `length` values
     stepping by model, drawn from `seed` as (walk slice, lo, hi, values):
-    whole walks, or a long walk's blocks, each summed on from the last value
-    of the block before. The draws do not depend on the blocks. The values
-    are column-major, so the kernel's loops run down the walks; read them
-    before resuming, and do not modify them."""
+    whole walks, or a long walk's blocks, each summed on from the raw last
+    value of the block before. The draws do not depend on the blocks. Each
+    block is a new column-major array, so the kernel's loops run down the
+    walks, and its reader may write it (patterns._noised does)."""
     _check_span(length, orders, d)
     rng, overlap = np.random.default_rng(seed), (max(orders) - 1) * d
     for walks, lo, hi in _blocks(rows, length, orders, d):
@@ -304,9 +283,10 @@ def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, see
             z = _walks(_sample_steps(model, (walks.stop - walks.start, hi - 1), rng))
         else:  # the rest of a long walk, summed on from its last value
             steps = _sample_steps(model, (1, hi - lo - overlap), rng)
-            steps[:, 0] += z[:, -1]
+            steps[:, 0] += last
             z = np.concatenate((z[:, -overlap:], np.cumsum(steps, axis=-1)), axis=-1)
-        if not np.isfinite(z[:, -1]).all():  # a sum that leaves the finite never returns
+        last = z[:, -1].copy()
+        if not np.isfinite(last).all():  # a sum that leaves the finite never returns
             raise RangeError("series values must be finite")  # as TimeSeries says
         yield walks, lo, hi, z
 
@@ -314,8 +294,8 @@ def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, see
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
                   policy: TiePolicy | None = None, keep: int = 0):
     """patterns._counted of the walks _sampled_walks draws, with stable ties
-    (a strict rule binds only the series), each kept walk's counts in the
-    smallest unsigned type that holds them; jittered from seed's first child."""
+    unless jittered, from seed's first child, each kept walk's counts in the
+    smallest unsigned type that holds them."""
     if policy is not None and policy.mode == "jitter":
         base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         # the first child of base, derived without spawning, which would change base
@@ -330,11 +310,9 @@ def monte_carlo_distribution(
 ) -> PatternDistribution:
     """Pattern frequencies over independent simulated length-n walks.
 
-    Each walk starts at 0 and takes n-1 fresh steps; m >= 100 n! keeps
-    the per-pattern standard error below roughly sqrt(p/m). Deterministic
-    given the seed. Exact ties (possible under empirical step multisets)
-    rank earlier-index-smaller. This is the one-order case of the draw a
-    parametric null makes in build_nulls.
+    m >= 100 n! keeps the per-pattern standard error below roughly
+    sqrt(p/m). The one-order case of a parametric null's draw (NullSpec),
+    so deterministic given the seed.
     """
     return build_null((), n, NullSpec(model, samples=samples), seed).distribution
 
@@ -549,8 +527,7 @@ def volume_oracle(
 # --------------------------------------------------------------------------
 
 def default_walk_length(n_obs: int) -> int:
-    """Values an associated null draws, in series-length walks: max(5 10^5, 50 N),
-    which averaged within classes match raw frequencies of twice as many."""
+    """NullSpec's default walk_length for a series of n_obs values."""
     return max(500_000, 50 * n_obs)
 
 
@@ -565,16 +542,30 @@ def _own_steps(values: np.ndarray) -> StepModel:
 
 @dataclass(frozen=True)
 class NullSpec:
-    """Which null model to hold a series against.
+    """Which null model to hold a series against, and the one statement of
+    what each null draws, how it is counted and averaged, and its band.
 
-    step None is the associated null: the series' own steps resampled into
-    ceil(walk_length / N) walks of its length N, walk_length max(5 10^5, 50 N)
-    by default, its counts averaged within the order's walk_classes. An
-    analysis run with R band replicates draws max(R, ceil(walk_length / N))
-    walks, scores the first R leave-one-out, and its null's sample_count
-    grows when R is the larger. A StepModel is a parametric step law,
-    evaluated by Monte Carlo over `samples` walks of the top order (raw
-    frequencies), or exactly when closed_form.
+    step None is the associated null: ceil(walk_length / N) walks of the
+    series' own steps (its first differences, resampled), each as long as
+    the series, N values, or the top order's span if longer. walk_length
+    is max(5 10^5, 50 N) by default (default_walk_length), which averaged
+    within classes matches the raw frequencies of twice as many. With R
+    band replicates an analysis run draws max(R, ceil(walk_length / N))
+    walks, so the null's sample_count grows when R is the larger. Walks
+    are ranked as the series is, at its delay and tie policy, save that a
+    strict rule binds only the series (walks rank ties stably) and jitter
+    noise comes from the draw's seed. Every window is counted, and the
+    pooled counts are averaged within classes.walk_classes, which keeps the
+    null unbiased and about halves its variance. The band is the first R
+    walks, each scored against the pool less its own walk, averaged the
+    same way; the walk's own counts stand in for the series, unaveraged.
+
+    A StepModel is a parametric step law: the raw frequencies of `samples`
+    walks of the top order's length, at delay 1 without jitter, each order
+    counting their leading values, or exact at each order with closed_form.
+    Its band is R walks of the series' own steps, ranked like the series
+    and drawn from a seed of their own, each scored against the null.
+    Every band walk is smoothed as kl_divergence would smooth it.
 
     This is the one place that decides which nulls have a closed form:
     uniform steps, and normal steps with mu = 0. The associated null and an
@@ -637,19 +628,9 @@ class NullModel:
 def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
                      policy: TiePolicy | None = None, replicates: int = 0,
                      smoothing: float = 1.0, band_seed=None):
-    """One (NullModel, band) per order, as given: the null as build_nulls
-    realizes it, and the divergences from it of `replicates` walks of the
-    series' own steps, ranked like the null (None with no replicates).
-
-    An associated null draws max(replicates, ceil(walk_length / N)) walks
-    and averages their pooled counts within walk_classes: the full classes
-    at orders 3..5, reverse-complement pairs at 2, 6 and 7 and under a
-    jitter policy. Its band is the first `replicates` walks, each scored
-    against the pool less its own walk, averaged the same way. A parametric
-    or closed-form null's band draws its own walks from band_seed and
-    scores them against that null. Each walk is smoothed as kl_divergence
-    would smooth it.
-    """
+    """One (NullModel, band) per order, as given: the null and its band of
+    `replicates` divergences as NullSpec states them (None with no
+    replicates). A given null's band walks are drawn from band_seed."""
     _check_orders(orders)
     _check_seed(seed)
     step, method, own = spec.step, "monte_carlo", spec.step is None
@@ -664,7 +645,7 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
                  else closed_form_normal_zero_mean(n) for n in orders}
         method, recorded = "closed_form", None
     else:
-        if own:  # the band's walks and more, every window counted, averaged within classes
+        if own:  # walks of the series' own steps, averaged within classes
             step = steps
             budget = -(-(spec.walk_length or default_walk_length(values.size)) // length)
             counts, kept = _drawn_counts(step, max(replicates, budget), length, orders, d,
@@ -689,23 +670,12 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
                  for n in orders)
 
 
-def _class_means(counts: np.ndarray, classes: EquivalenceClassTable) -> np.ndarray:
-    """counts, one n! row or a stack of them, with each pattern's count
-    replaced by the mean count of its class in that row."""
-    ids, k = classes.ids, len(classes)
-    rows = counts.reshape(-1, ids.size)
-    cells = (np.arange(len(rows))[:, None] * k + ids).ravel()
-    sums = np.bincount(cells, rows.ravel(), minlength=len(rows) * k).reshape(-1, k)
-    return (sums / np.bincount(ids))[:, ids].reshape(counts.shape)
-
-
 def _band(n: int, kept, windows: int, null: PatternDistribution, pool,
           smoothing: float, classes: EquivalenceClassTable | None) -> np.ndarray:
     """Divergences from the null of walks with the kept counts of `windows`
-    order-n windows each, scored at most patterns._CHUNK counts at a time.
-    With pooled counts, each walk leaves the pool before it is scored, and
-    the rest is averaged within classes, as the null is; the walk's own
-    counts stand in for the series and are not."""
+    order-n windows each, scored at most patterns._CHUNK counts at a time:
+    against the null, or, given the pool, against the pool less each
+    walk, averaged within classes."""
     m = null.sample_count - (0 if pool is None else windows)
     rows = max(1, patterns._CHUNK // _FACT[n])
     return np.concatenate([
@@ -721,14 +691,7 @@ def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
 
     A closed form is evaluated at each order. Any other null is one draw
     from `seed` (an int >= 0 or a SeedSequence), ranked at every order in
-    one pass. The associated null is ceil(walk_length / N) walks of the
-    series' length N (or the top order's span, if longer), every window
-    counted and ranked as the series is, at delay d and tie policy, and its
-    counts averaged within classes.walk_classes(n); an analysis run with a
-    band of more replicates than that draws one walk per replicate instead,
-    so the null's sample_count grows. A parametric null is the raw
-    frequencies of `samples` walks of max(orders) values, each order
-    counting their leading values, at delay 1 with no jitter.
+    one pass, as NullSpec states.
     """
     return tuple(null for null, _ in _nulls_and_bands(series, orders, spec, seed, d, policy))
 
@@ -751,10 +714,9 @@ def kl_to_null(
     """Normalized KL divergence of a series' patterns from a null model.
 
     model_spec is a NullSpec (NullSpec(step) simulates a step law with the
-    default sample budget), or None for the associated null, ranked like
-    the series and averaged within its classes. Pseudocount smoothing kicks
-    in only if the sampled null misses a pattern the series realizes; an
-    associated null misses one only when it misses the pattern's whole class.
+    default sample budget), or None for the associated null. Pseudocount
+    smoothing kicks in only if the sampled null misses a pattern the series
+    realizes.
     """
     null_dist = build_null(series, n, model_spec or NullSpec(), seed, d, policy).distribution
     p = empirical_distribution(series, n, d, policy)

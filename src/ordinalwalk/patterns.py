@@ -492,16 +492,18 @@ def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
 
 def _noised(blocks, orders, d: int, policy: TiePolicy | None):
     """The (row slice, lo, hi, values) blocks of _blocks, with a jitter
-    policy's noise added to a copy of each block, in its layout: from
+    policy's noise added to each block, in its layout: from
     default_rng(policy.seed), once per value in value order, so a long row's
-    later block reuses the noised overlap of the block before. RangeError
-    if a noised value is not finite."""
+    later block reuses the noised overlap of the block before. A block that
+    owns its memory (the sampler's) is noised in place, and a view, which
+    may be the caller's, is copied first. RangeError if a noised value is
+    not finite."""
     if policy is None or policy.mode != "jitter":
         yield from blocks
         return
     rng, overlap = np.random.default_rng(policy.seed), (max(orders) - 1) * d
     for rows, lo, hi, x in blocks:
-        fresh, block = (overlap if lo else 0), np.empty_like(x)
+        fresh, block = (overlap if lo else 0), x if x.base is None else np.empty_like(x)
         if fresh:  # a long row's later block: its first values end the block before
             block[:, :fresh] = noised[:, -fresh:]
         with np.errstate(over="ignore"):  # an overflow is refused below

@@ -84,9 +84,14 @@ def test_closed_form_orders_guarded():
 
 
 def test_branch_formulas_join_continuously():
+    # 1432's branch below 2/3, (2 - 12b + 24b^2 - 15b^3) / 6, differs from
+    # its commonly printed form; only this one totals 1 and meets the other
     lo = closed_form_uniform(4, 2.0 / 3.0 - 1e-12)
     hi = closed_form_uniform(4, 2.0 / 3.0 + 1e-12)
     assert np.max(np.abs(lo.weights - hi.weights)) < 1e-10
+    for n in (3, 4):
+        for b in np.linspace(0.0, 1.0, 201)[1:-1]:
+            assert abs(closed_form_uniform(n, b).weights.sum() - 1.0) <= 1e-14, (n, b)
 
 
 def test_normal_constants_renormalized():

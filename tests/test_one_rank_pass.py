@@ -2,9 +2,9 @@
 stack and sampled walk in the blocks of patterns._blocks. These tests hold
 its jittered walk counts, pooled and kept, bit for bit to one one-shot
 draw whatever the block size (tests/test_fold_counts.py holds series and
-stacks to one whole-series draw), bound the memory of a jittered pass, and
-check the finite-jitter rule and the freeze rule of the values a pass
-reads."""
+stacks to one whole-series draw), bound the memory of a jittered pass,
+check that it writes no caller's values, and check the finite-jitter rule
+and the freeze rule of the values a pass reads."""
 
 import math
 import tracemalloc
@@ -91,6 +91,36 @@ def test_a_jittered_pass_holds_blocks_not_the_series():
         tracemalloc.stop()
     assert [int(counts[n].sum()) for n in range(3, 8)] == [10 ** 6 - n + 1 for n in range(3, 8)]
     assert peak <= 4 * 2 ** 20, f"peak {peak / 2 ** 20:.1f} MiB"
+
+
+def test_a_jittered_associated_null_noises_its_walks_in_place():
+    # the sampler's blocks are its own, so noising them copies nothing
+    walk = TimeSeries(np.cumsum(np.random.default_rng(1).uniform(-0.5, 0.5, 100_000)))
+    policies = (None, TiePolicy("jitter", 0.01))
+    for policy in policies:  # the class tables, built once, are not the pass's
+        build_nulls(walk, (4, 5), NullSpec(walk_length=200_000), 7, 1, policy)
+    peaks = []
+    for policy in policies:
+        tracemalloc.start()
+        try:
+            build_nulls(walk, (4, 5), NullSpec(), 7, 1, policy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    stable, jittered = (peak / 2 ** 20 for peak in peaks)
+    assert jittered <= stable + 0.1, f"jittered {jittered:.2f} MiB, stable {stable:.2f} MiB"
+
+
+@pytest.mark.parametrize("chunk", [5, 1 << 16])
+def test_a_jittered_pass_leaves_the_callers_values_as_they_were(chunk):
+    stack = np.cumsum(np.random.default_rng(4).normal(size=(3, 40)), axis=1)
+    before = stack.copy()
+    policy = TiePolicy("jitter", 0.1, 5)
+    with patch.object(patterns, "_CHUNK", chunk):
+        pattern_counts(stack, (3, 4), 2, policy)
+        pattern_counts(stack[0], (3, 4), 1, policy)
+        extract_patterns(stack[1], 3, 1, policy)
+    assert np.array_equal(stack, before)
 
 
 # ------------------------------------------------------------ finite jitter

@@ -77,6 +77,12 @@ COMMANDS = [
     ("classes n=7 closure", ["classes", "--n", "7", "--closure"]),
     ("oracle n=4", ["oracle", "--n", "4", "--b", "0.37", "--resolution", "300"]),
     ("oracle n=5", ["oracle", "--n", "5", "--b", "0.6", "--resolution", "40"]),
+    ("oracle n=3", ["oracle", "--n", "3", "--b", "0.3", "--resolution", "200"]),
+    ("simulate walk csv", ["simulate", "--kind", "walk", "--step-family", "uniform", "--b", "0.6",
+                           "--length", "3000", "--seed", "5"]),
+    ("simulate sine json", ["simulate", "--kind", "sine", "--length", "100", "--format", "json"]),
+    ("nullmodel uniform closed form csv", ["nullmodel", "--family", "uniform", "--b", "0.6",
+                                           "--n", "4", "--closed-form", "--format", "csv"]),
 ]
 
 
