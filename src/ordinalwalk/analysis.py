@@ -73,7 +73,7 @@ class AnalysisConfig:
 
     def __post_init__(self):
         orders = tuple(_check_orders(self.orders))
-        if orders[0] < 3:  # order 2 has no class table; it serves the momentum metrics
+        if orders[0] < 3:  # order 2 serves the momentum metrics, not the analysis
             raise OrderError(f"analysis needs order >= 3, got {orders[0]}")
         object.__setattr__(self, "orders", orders)
         if self.policy is not None and self.policy.mode == "jitter" and self.policy.seed:

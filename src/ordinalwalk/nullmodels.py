@@ -47,7 +47,6 @@ from .patterns import (
     _counted,
     _fold,
     _frozen,
-    _prefix_groups,
     _symmetry_ranks,
     _words,
     empirical_distribution,
@@ -412,10 +411,12 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     # above[u, p]: prefix u puts the later entry of pair p above the earlier
     above = words[:, later] > words[:, earlier]
     # order[u]: prefix u's positions from its lowest value up; ranks[u, j]:
-    # the pattern ordered as u whose last entry is the (j+1)-th lowest, from
-    # u's prefix group, whose lex ranks fall as that last entry rises
+    # the pattern ordered as u whose last entry is the (j+1)-th lowest. Its
+    # reverse complement starts with n - j, and its last m entries have the
+    # pattern of u's reverse complement, so its lex rank is (m - j) m! + rc_m[u]
     order = np.argsort(words, axis=1)
-    ranks = _prefix_groups(n)[m].reshape(spare, n)[:, ::-1]
+    rc = {k: _symmetry_ranks(k, "reverse_complement") for k in (m, n)}
+    ranks = rc[n][(m - np.arange(n)) * _FACT[m] + rc[m][:, None]]
     descent = np.array([_FACT[m - 1 - a] for a in earlier])  # lex rank weights
     # a row fixes the pairs within its first m-1 prefix values; the last
     # value passes prefix value a at cut pair (a, m-1), itself at no step
@@ -504,8 +505,9 @@ def volume_oracle(
     order in 1/resolution when (1 - b) resolution is off an integer, where
     cells straddle the cube's faces: at n = 4 and b = 5/7 its largest
     pattern error is 1.09e-3, 8.19e-4 and 3.28e-4 at resolutions 400, 800
-    and 2 000. resolution is an integer with 2 <= resolution and
-    2 resolution^(n-1) <= 2^53.
+    and 2 000. resolution is an integer with 2 <= resolution,
+    2 resolution^(n-1) <= 2^53 and, for the sweep's table of sums,
+    (n-2)((n-2)(resolution-1) + 2) <= 2^22, which binds only at n = 3.
     """
     if model.family != "uniform_b":
         raise RangeError("the volume oracle is defined for uniform_b models")
@@ -518,6 +520,10 @@ def volume_oracle(
         raise RangeError(f"resolution must be >= 2, got {resolution}")
     if 2 * resolution ** (n - 1) > 2 ** 53:  # beyond it the cell sums are not exact
         raise RangeError(f"2 resolution^(n-1) must be at most 2^53, got {resolution} at n = {n}")
+    entries = (n - 2) * ((n - 2) * (resolution - 1) + 2)  # the sweep's cum table
+    if entries > 1 << 22:
+        raise RangeError(f"resolution {resolution} at n = {n} needs a sweep table of "
+                         f"{entries} entries, more than 2^22")
     sweep = _oracle_sweep(n, float(model.b), resolution)
     return float(sweep[pattern.rank])
 
@@ -562,7 +568,7 @@ class NullSpec:
 
     A StepModel is a parametric step law: the raw frequencies of `samples`
     walks of the top order's length, at delay 1 without jitter, each order
-    counting their leading values, or exact at each order with closed_form.
+    n counting their last n values, or exact at each order with closed_form.
     Its band is R walks of the series' own steps, ranked like the series
     and drawn from a seed of their own, each scored against the null.
     Every band walk is smoothed as kl_divergence would smooth it.
@@ -634,7 +640,7 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
     _check_orders(orders)
     _check_seed(seed)
     step, method, own = spec.step, "monte_carlo", spec.step is None
-    # an int seed is recorded here; a derived SeedSequence is recorded upstream
+    # only an int seed is recorded; every analysis run passes a SeedSequence
     recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
     if own or replicates:  # walks of the series' own steps, ranked like the series
         values = _as_values(series)
@@ -654,7 +660,7 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
                        for n in orders}
             means = {n: _class_means(c, classes[n]) for n, c in counts.items()}
         else:  # the step law itself: walks of one top-order window, at delay 1
-            # unjittered, each order counting its leading values
+            # unjittered, each lower order counting that window's suffix
             top = max(orders)
             drawn, _ = _drawn_counts(step, spec.samples, top, (top,), 1, seed)
             counts = means = {n: _fold(drawn[top], top, n, np.int64) for n in orders}

@@ -10,10 +10,11 @@ One counter, _counted, jitters (_noised), ranks and counts every series,
 stack and sampled walk (in nullmodels) in the blocks of _blocks, so no
 pass holds more than about _CHUNK windows' values, noise or temporaries.
 It counts each window once, at its top order n: the order-m window at
-start t is the first m values of the order-n window at t, so order m's
-counts are the top counts summed over the patterns sharing an order-m
-prefix (_fold), plus order m's own windows past the top order's last
-start, which _block_ranks yields from a row's last block (_folded).
+start t + (n - m) d is the last m values of the order-n window at t, and
+_lag_ranks makes rank_n mod m! its rank, so order m's counts are the top
+counts summed over their n!/m! quotients (_fold), plus order m's first
+(n - m) d windows, which end no top-order window and which _block_ranks
+slices from a row's first block, from the same pass (_folded).
 
 Main entry points
 -----------------
@@ -443,41 +444,29 @@ def _blocks(rows: int, size: int, orders, d: int):
             yield slice(row, row + 1), lo, min(lo + _CHUNK + overlap, size)
 
 
-def _block_ranks(x: np.ndarray, orders, d: int, last: bool):
-    """The (n, ranks) of a block of _blocks that a pass counts: the top
-    order's windows that start in it (all in a row's last block, else the
-    first _CHUNK), and, in a row's last block, each lower order's windows
-    past the top order's last start, which lie in the row's last
-    (top - 1) d values and are ranked from that slice. The rest are
-    prefixes of top-order windows, which _folded counts from the top."""
-    top = max(orders)
-    _, ranks = next(_lag_ranks(x, (top,), d))
-    yield top, ranks if last else ranks[..., :_CHUNK]
-    lower = [n for n in orders if n < top]
-    if last and lower:
-        yield from _lag_ranks(x[..., x.shape[-1] - (top - 1) * d:], lower, d)
-
-
-@lru_cache(maxsize=None)
-def _prefix_groups(n: int) -> dict[int, np.ndarray]:
-    """For each order m in 2..n, the order-n lex ranks grouped by their
-    order-m prefix: row r of the (m!, n!/m!) reshape holds the order-n
-    patterns whose first m entries have the pattern of lex rank r. One
-    _lag_ranks pass over every order-n word ranks every prefix: a word's
-    order-m window at start 0 is its order-m prefix. Built once per order."""
-    groups = {m: np.argsort(ranks[:, 0], kind="stable")
-              for m, ranks in _lag_ranks(_words(n), range(2, n + 1), 1)}
-    for table in groups.values():
-        table.setflags(write=False)
-    return groups
+def _block_ranks(x: np.ndarray, orders, d: int, first: bool, last: bool):
+    """The (n, ranks) of a block of _blocks that a pass counts, from one
+    _lag_ranks pass: the top order's windows that start in it (all in a
+    row's last block, else the first _CHUNK), then, in a row's first block,
+    each lower order's first (top - n) d windows, which end no top-order
+    window. The rest are suffixes of top-order windows, which _folded
+    counts from the top."""
+    top, heads = max(orders), []
+    for n, ranks in _lag_ranks(x, orders, d):
+        if n == top:
+            yield n, ranks if last else ranks[..., :_CHUNK]
+        elif first:  # copied, and counted after the pass, which faults fewer pages
+            heads.append((n, ranks[..., :(top - n) * d].copy()))
+    yield from heads
 
 
 def _fold(counts: np.ndarray, n: int, m: int, dtype) -> np.ndarray:
-    """Order-m counts, in dtype, of the order-m prefixes of the windows
-    whose order-n counts run along the last axis of counts."""
-    groups = counts[..., _prefix_groups(n)[m]]
-    return groups.reshape(counts.shape[:-1] + (_FACT[m], _FACT[n] // _FACT[m])).sum(
-        axis=-1, dtype=dtype)
+    """Order-m counts, in dtype, of the last m values of the windows whose
+    order-n counts run along the last axis of counts: an order-n rank mod
+    m! is the rank of those values (_lag_ranks), so the counts of each
+    order-m rank are summed over the n!/m! quotients."""
+    return counts.reshape(counts.shape[:-1] + (_FACT[n] // _FACT[m], _FACT[m])).sum(
+        axis=-2, dtype=dtype)
 
 
 def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
@@ -515,15 +504,26 @@ def _noised(blocks, orders, d: int, policy: TiePolicy | None):
         yield rows, lo, hi, noised
 
 
+#: the most counts _counted keeps, rows times n! summed over the counted
+#: orders: 64 Mi counts are 512 MiB of intp
+_MAX_STACK_COUNTS = 1 << 26
+
+
 def _counted(blocks, size: int, orders, d: int, policy: TiePolicy | None, keep: int, dtype):
     """Pattern counts per order of the rows of `size` values whose blocks
     of _blocks come as (row slice, lo, hi, values), jittered by _noised and
     counted once per window from _block_ranks, then _folded: pooled over
-    every row in int64, and per row for the first `keep` rows in dtype."""
+    every row in int64, and per row for the first `keep` rows in dtype.
+    RangeError, before any count is allocated, if the kept counts would
+    exceed _MAX_STACK_COUNTS."""
+    cells = keep * sum(_FACT[n] for n in orders)
+    if cells > _MAX_STACK_COUNTS:
+        raise RangeError(f"{keep} rows at orders {sorted(orders)} need {cells} counts, "
+                         f"more than {_MAX_STACK_COUNTS}")
     pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
     kept = {n: np.zeros((keep, _FACT[n]), dtype) for n in orders}
     for rows, lo, hi, x in _noised(blocks, orders, d, policy):
-        for n, ranks in _block_ranks(x, orders, d, hi == size):
+        for n, ranks in _block_ranks(x, orders, d, lo == 0, hi == size):
             mine = kept[n][rows]  # a view, empty past the kept rows
             if len(mine):  # one bincount, each row's ranks offset by n! times its index
                 mine += np.bincount(
@@ -533,11 +533,6 @@ def _counted(blocks, size: int, orders, d: int, policy: TiePolicy | None, keep: 
     for n, c in pooled.items():
         c += kept[n].sum(axis=0, dtype=np.int64)
     return _folded(pooled), _folded(kept)
-
-
-#: the most counts pattern_counts allocates, rows times n! summed over the
-#: counted orders: 64 Mi counts are 512 MiB of intp
-_MAX_STACK_COUNTS = 1 << 26
 
 
 def pattern_counts(
@@ -559,10 +554,6 @@ def pattern_counts(
     values = _prepared(series, orders, d, policy)
     size = values.shape[-1]
     stack = values.reshape(-1, size)  # a series is a stack of one row
-    cells = len(stack) * sum(_FACT[n] for n in orders)
-    if cells > _MAX_STACK_COUNTS:
-        raise RangeError(f"{len(stack)} rows at orders {orders} need {cells} counts, "
-                         f"more than {_MAX_STACK_COUNTS}")
     blocks = ((rows, lo, hi, stack[rows, lo:hi])
               for rows, lo, hi in _blocks(len(stack), size, orders, d))
     _, counts = _counted(blocks, size, orders, d, policy, len(stack), np.intp)

@@ -1,13 +1,14 @@
 """Each rank pass counts its windows once, at the top order: a lower
-order's counts are the top counts summed over prefix groups, plus its own
-windows past the top order's. These tests hold the folded counts to
-per-order bincounts of _lag_ranks, the prefix tables to lex_rank, the
-column-summed walks to cumsum, and the direct plotdata and newline
-counting to csv.writer and bytes.count."""
+order's counts are the top counts summed over their quotients by m!, which
+counts the top windows' suffixes, plus its own windows before the first
+suffix. These tests hold the folded counts to per-order bincounts of
+_lag_ranks, the fold to the lex_rank of each suffix, a rank mod m! to the
+rank of its suffix, the column-summed walks to cumsum, and the direct
+plotdata and newline counting to csv.writer and bytes.count."""
 
 import csv
 import io
-from itertools import permutations
+from itertools import combinations, permutations
 from unittest.mock import patch
 
 import numpy as np
@@ -34,7 +35,7 @@ from ordinalwalk import (
 )
 from ordinalwalk.analysis import _newlines
 from ordinalwalk.nullmodels import _sample_steps, _walks
-from ordinalwalk.patterns import _FACT, _lag_ranks, _prefix_groups, _prepared
+from ordinalwalk.patterns import _FACT, _fold, _lag_ranks, _prepared
 
 
 def _per_order_counts(values, orders, d, policy):
@@ -94,7 +95,7 @@ def test_folded_counts_are_the_per_order_counts(case, chunk):
        orders=st.sets(st.integers(2, 7), min_size=1, max_size=3).map(sorted),
        samples=st.integers(1, 300), chunk=st.integers(1, 200), seed=st.integers(0, 2 ** 32))
 @settings(max_examples=80, deadline=None)
-def test_parametric_nulls_fold_their_leading_windows(model, orders, samples, chunk, seed):
+def test_parametric_nulls_fold_their_trailing_windows(model, orders, samples, chunk, seed):
     top = max(orders)
     with patch.object(patterns, "_CHUNK", chunk):
         nulls = build_nulls((), orders, NullSpec(model, samples=samples), seed)
@@ -103,22 +104,36 @@ def test_parametric_nulls_fold_their_leading_windows(model, orders, samples, chu
     ranks = dict(_lag_ranks(z, orders, 1))
     for null in nulls:
         n = null.order
-        want = np.bincount(ranks[n][:, 0], minlength=_FACT[n])  # each walk's leading window
+        want = np.bincount(ranks[n][:, -1], minlength=_FACT[n])  # each walk's trailing window
         assert null.sample_count == samples
         assert null.distribution.weights.tobytes() == (want / samples).tobytes()
 
 
 @pytest.mark.parametrize("n", range(3, 8))
-def test_prefix_tables_are_the_lex_ranks_of_the_prefixes(n):
+def test_the_fold_counts_the_lex_ranks_of_the_suffixes(n):
     words = list(permutations(range(1, n + 1)))
+    one_hot = np.eye(_FACT[n], dtype=np.int8)  # row r: one window, of lex rank r
     for m in range(2, n + 1):
-        groups = _prefix_groups(n)[m].reshape(_FACT[m], -1)
-        want = [lex_rank(OrdinalPattern(tuple(sorted(word[:m]).index(v) + 1 for v in word[:m])))
-                for word in words]  # the standardized prefix of each word
-        for r, group in enumerate(groups):
-            assert [want[i] for i in group] == [r] * len(group)
-        assert sorted(groups.ravel().tolist()) == list(range(_FACT[n]))
-        assert not _prefix_groups(n)[m].flags.writeable
+        want = [lex_rank(OrdinalPattern(tuple(sorted(word[-m:]).index(v) + 1 for v in word[-m:])))
+                for word in words]  # the standardized suffix of each word
+        got = _fold(one_hot, n, m, np.int8)
+        assert np.array_equal(got, np.eye(_FACT[m], dtype=np.int8)[want])
+
+
+@given(rows=st.sampled_from([None, 1, 3]), orders=st.sets(st.integers(2, 7), min_size=2),
+       d=st.integers(1, 3), extra=st.integers(0, 40), ties=st.booleans(),
+       seed=st.integers(0, 2 ** 32))
+@settings(max_examples=150, deadline=None)
+def test_a_rank_mod_a_lower_factorial_is_the_rank_of_its_suffix(rows, orders, d, extra, ties,
+                                                                 seed):
+    # rank_n mod m! = rank_m at start t + (n - m) d: the identity the fold rests on
+    length = (max(orders) - 1) * d + 1 + extra
+    shape = (length,) if rows is None else (rows, length)
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 3, shape).astype(float) if ties else rng.normal(size=shape)
+    ranks = dict(_lag_ranks(values, orders, d))
+    for m, n in combinations(sorted(orders), 2):
+        assert np.array_equal(ranks[n] % _FACT[m], ranks[m][..., (n - m) * d:])
 
 
 @given(rows=st.integers(1, 60), width=st.integers(0, 12), seed=st.integers(0, 2 ** 32))
@@ -177,3 +192,26 @@ def test_a_stack_over_the_count_bound_is_refused_before_it_is_counted():
             patch.object(np, "zeros", side_effect=AssertionError("allocated")):
         with pytest.raises(RangeError, match="4 rows at orders \\[3, 5\\] need 504 counts"):
             pattern_counts(stack, (3, 5))
+
+
+def test_band_rows_over_the_count_bound_are_refused_before_they_are_counted():
+    # the series' own counts (orders 2, 4, 5: 146) fit, the band's 10 rows
+    # of 24 + 120 counts do not, and no walk is drawn nor any row allocated
+    walk = np.cumsum(np.random.default_rng(6).uniform(-0.4, 0.6, 300))
+    config = AnalysisConfig(orders=(4, 5), replicates=10, null=NullSpec(walk_length=3000))
+    zeros, shapes = np.zeros, []
+
+    def recorded(shape, *args, **kwargs):
+        shapes.append(shape)
+        return zeros(shape, *args, **kwargs)
+
+    with patch.object(patterns, "_MAX_STACK_COUNTS", 1440):
+        assert analyze_run(walk, config).per_order[0].report.kl_band_std is not None
+    with patch.object(patterns, "_MAX_STACK_COUNTS", 1439), \
+            patch.object(np, "zeros", recorded), \
+            patch("ordinalwalk.nullmodels._sample_steps", side_effect=AssertionError("drawn")):
+        with pytest.raises(RangeError, match="10 rows at orders \\[4, 5\\] need 1440 counts, "
+                                             "more than 1439"):
+            analyze_run(walk, config)
+    # of the per-row counts, only the series' own, at orders 2, 4 and 5
+    assert [shape for shape in shapes if np.ndim(shape)] == [(1, 2), (1, 24), (1, 120)]

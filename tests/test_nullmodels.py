@@ -242,6 +242,14 @@ def test_oracle_resolution_keeps_cell_sums_exact():
         OrdinalPattern.from_string("123"), StepModel.uniform(0.6), 40)
 
 
+def test_oracle_resolution_whose_sweep_table_is_too_large_is_refused(monkeypatch):
+    # exact at n = 3, but its sweep table of resolution + 1 sums would
+    # exceed 2^22 entries: refused before any table is built
+    monkeypatch.setattr(np, "zeros", lambda *args, **kwargs: pytest.fail("allocated"))
+    with pytest.raises(RangeError, match="4194305 entries, more than 2\\^22"):
+        volume_oracle(OrdinalPattern.from_string("132"), StepModel.uniform(0.6), 2 ** 22)
+
+
 # ------------------------------------------------------ associated null
 
 def test_default_walk_length_floor():
@@ -373,7 +381,7 @@ def test_build_nulls_ranks_one_associated_walk_at_every_order():
 def test_build_nulls_parametric_draws_once_at_the_top_order():
     # one stack of walks of the top order's length: the top order is the
     # one-order Monte Carlo draw, a lower order counts the same walks'
-    # leading values rather than walks of its own
+    # trailing values rather than walks of its own
     model = StepModel.uniform(0.6)
     spec = NullSpec(model, samples=2000)
     low, top = build_nulls([0.0, 1.0], (3, 5), spec, seed=4)

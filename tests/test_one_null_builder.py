@@ -1,6 +1,6 @@
 """build_nulls is the one null builder. A parametric Monte Carlo null is one
 stack of walks at the top order, drawn in row blocks of patterns._CHUNK
-values, and each order counts the walks' leading values; these tests hold
+values, and each order counts the walks' trailing values; these tests hold
 it to the per-order Monte Carlo draw it replaced and to a one-shot draw."""
 
 from unittest.mock import patch
@@ -80,8 +80,8 @@ def test_monte_carlo_matches_the_per_order_draw(model, n, samples, blocks, seed)
 @settings(max_examples=200, deadline=None)
 @given(model=_models(), orders=st.sets(st.integers(2, 7), min_size=1),
        samples=st.integers(1, 300), chunk=st.integers(7, 80), seed=st.integers(0, 2 ** 32))
-def test_parametric_nulls_count_the_leading_values_of_one_draw(model, orders, samples,
-                                                                chunk, seed):
+def test_parametric_nulls_count_the_trailing_values_of_one_draw(model, orders, samples,
+                                                                 chunk, seed):
     orders = tuple(orders)
     with patch.object(patterns, "_CHUNK", chunk):
         nulls = build_nulls([0.0, 1.0], orders, NullSpec(model, samples=samples), seed)
@@ -91,7 +91,7 @@ def test_parametric_nulls_count_the_leading_values_of_one_draw(model, orders, sa
     assert [null.order for null in nulls] == list(orders)
     for null in nulls:
         n = null.order
-        rows = pattern_counts(walks[:, :n], (n,))[n]  # one window per row
+        rows = pattern_counts(walks[:, top - n:], (n,))[n]  # one window per row
         assert null.distribution.weights.tobytes() == (rows.sum(axis=0) / samples).tobytes()
         assert null.sample_count == null.distribution.sample_count == samples
         assert null.method == "monte_carlo" and null.seed == seed

@@ -20,7 +20,7 @@ from ordinalwalk import classes, nullmodels, patterns
 from ordinalwalk.patterns import _FACT, _pattern_strings, _patterns, _words
 
 TABLE_CACHES = (patterns._words, patterns._patterns, patterns._pattern_strings,
-                patterns._symmetry_ranks, patterns._prefix_groups,
+                patterns._symmetry_ranks,
                 classes.equivalence_classes, classes.rc_closure,
                 nullmodels.closed_form_normal_zero_mean, nullmodels._oracle_sweep)
 

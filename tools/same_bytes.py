@@ -83,6 +83,9 @@ COMMANDS = [
     ("simulate sine json", ["simulate", "--kind", "sine", "--length", "100", "--format", "json"]),
     ("nullmodel uniform closed form csv", ["nullmodel", "--family", "uniform", "--b", "0.6",
                                            "--n", "4", "--closed-form", "--format", "csv"]),
+    ("analyze ticks d=2 long walks", ["analyze", TICKS, "--orders", "3,4,7", "--delay", "2",
+                                      "--walk-length", "400000", "--replicates", "2",
+                                      "--seed", "18"]),
 ]
 
 
