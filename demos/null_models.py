@@ -2,8 +2,12 @@
 
 A drifted walk with steps uniform on [b-1, b] has a pattern distribution
 known in closed form for n = 3, 4. The same distribution can be estimated
-by Monte Carlo or by deterministic quadrature over the step cube; all
-three agree, which is the point of keeping all three around.
+by Monte Carlo or by deterministic quadrature over the step cube. The
+quadrature oracle audits the closed forms rather than arbitrating them:
+its error is first order in 1/resolution when (1 - b) resolution is off an
+integer (at n = 4 and b = 5/7 the largest pattern error is 1.09e-3 at
+resolution 400). At b = 0.65 and resolution 400 that product is an
+integer, so the three columns below agree to the Monte Carlo noise.
 """
 
 import numpy as np

@@ -45,6 +45,7 @@ from .patterns import (
     TiePolicy,
     TimeSeries,
     _as_series,
+    _check_int,
     _check_orders,
     _check_seed,
     _pattern_strings,
@@ -78,11 +79,11 @@ class AnalysisConfig:
         object.__setattr__(self, "orders", orders)
         if self.policy is not None and self.policy.mode == "jitter" and self.policy.seed:
             raise RangeError("analysis jitters from the run seed; leave the policy's seed at 0")
-        if self.delay < 1:
-            raise RangeError(f"delay must be >= 1, got {self.delay}")
+        object.__setattr__(self, "delay", _check_int(self.delay, "delay", 1))
+        object.__setattr__(self, "replicates", _check_int(self.replicates, "replicates"))
         if self.replicates < 0 or self.replicates == 1:  # a band's spread needs two
             raise RangeError(f"replicates must be 0 or >= 2, got {self.replicates}")
-        _check_seed(self.seed)
+        object.__setattr__(self, "seed", _check_seed(self.seed))
         _check_smoothing(self.smoothing)
 
 
@@ -94,10 +95,9 @@ class WindowSpec:
     stride: int
 
     def __post_init__(self):
-        if self.window_length < 2:
-            raise RangeError(f"window length must be >= 2, got {self.window_length}")
-        if self.stride < 1:
-            raise RangeError(f"stride must be >= 1, got {self.stride}")
+        object.__setattr__(self, "window_length",
+                           _check_int(self.window_length, "window length", 2))
+        object.__setattr__(self, "stride", _check_int(self.stride, "stride", 1))
 
 
 # --------------------------------------------------------------------------
@@ -118,8 +118,8 @@ def ingest_csv(path, column: int | str = 0, header: bool = False) -> TimeSeries:
     """
     if isinstance(column, str) and not header:
         raise ParseError(f"{path}: selecting column {column!r} by name needs header=True")
-    if isinstance(column, int) and column < 0:
-        raise ParseError(f"{path}: column index must be >= 0, got {column}")
+    if not isinstance(column, str):
+        column = _check_int(column, f"{path}: column index", 0, ParseError)
     values = _loadtxt_column(path, column, header)
     return TimeSeries(_parse_rows(path, column, header) if values is None else values)
 

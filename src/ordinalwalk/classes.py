@@ -27,6 +27,7 @@ from .patterns import (
     _FACT,
     OrdinalPattern,
     PatternDistribution,
+    _check_int,
     _check_order,
     _lag_ranks,
     _pattern_strings,
@@ -56,9 +57,9 @@ class EquivalenceClassTable:
     ids: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.order
-        _check_order(n)
-        groups = tuple(tuple(sorted(int(r) for r in g)) for g in self.classes)
+        n = _check_order(self.order)
+        groups = tuple(tuple(sorted(_check_int(r, "class rank", error=OrderError) for r in g))
+                       for g in self.classes)
         groups = tuple(sorted(groups))
         object.__setattr__(self, "classes", groups)
         flat = [r for g in groups for r in g]

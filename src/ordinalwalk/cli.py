@@ -46,7 +46,7 @@ from .nullmodels import (
     closed_form_uniform,
     volume_oracle,
 )
-from .patterns import TiePolicy, all_patterns
+from .patterns import TiePolicy, _check_int, all_patterns
 
 
 class _UsageError(Exception):
@@ -242,9 +242,7 @@ def _load_config(args, parser: _Parser) -> dict:
 def _seed(args, stochastic: bool) -> int:
     if args.strict and stochastic and args.seed is None:
         raise _UsageError("--strict requires --seed when the run consumes randomness")
-    if args.seed is not None and args.seed < 0:
-        raise _UsageError(f"--seed must be >= 0, got {args.seed}")
-    return 0 if args.seed is None else args.seed
+    return 0 if args.seed is None else _check_int(args.seed, "--seed", 0, _UsageError)
 
 
 def _write(args, payload: bytes) -> None:

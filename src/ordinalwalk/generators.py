@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SpecError
 from .nullmodels import StepModel, _sample_steps, _walks
-from .patterns import TimeSeries
+from .patterns import TimeSeries, _check_int
 
 _KINDS = ("iid_uniform", "walk", "logistic", "mod10", "sine")
 
@@ -43,10 +43,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise SpecError(f"unknown generator kind {self.kind!r}")
-        if self.length < 1:
-            raise SpecError(f"length must be >= 1, got {self.length}")
-        if self.seed < 0:
-            raise SpecError(f"seed must be >= 0, got {self.seed}")
+        object.__setattr__(self, "length", _check_int(self.length, "length", 1, SpecError))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, SpecError))
         if self.kind == "walk" and self.step is None:
             raise SpecError("walk generation needs a StepModel")
         if self.kind in ("logistic", "mod10"):

@@ -21,7 +21,6 @@ how it is counted and averaged, and what its band is.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
@@ -41,6 +40,7 @@ from .patterns import (
     TiePolicy,
     _as_values,
     _blocks,
+    _check_int,
     _check_orders,
     _check_seed,
     _check_span,
@@ -78,10 +78,11 @@ class StepModel:
             if self.mu is not None or self.sigma is not None or self.steps is not None:
                 raise RangeError("uniform_b takes only b")
         elif self.family == "normal":
+            got = f"got mu={self.mu} sigma={self.sigma}"
             if self.mu is None or self.sigma is None or not self.sigma > 0:
-                raise RangeError(
-                    f"normal needs mu and sigma > 0, got mu={self.mu} sigma={self.sigma}"
-                )
+                raise RangeError(f"normal needs mu and sigma > 0, {got}")
+            if not (math.isfinite(self.mu) and math.isfinite(self.sigma)):
+                raise RangeError(f"normal needs finite mu and sigma, {got}")
             if self.b is not None or self.steps is not None:
                 raise RangeError("normal takes only mu and sigma")
         elif self.family == "empirical":
@@ -300,8 +301,8 @@ def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed
         # the first child of base, derived without spawning, which would change base
         policy = replace(policy, seed=np.random.SeedSequence(
             base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
-    return _counted(_sampled_walks(model, rows, length, orders, d, seed), length, orders, d,
-                    policy, keep, np.min_scalar_type(length - (min(orders) - 1) * d))
+    return _counted(_sampled_walks(model, rows, length, orders, d, seed), orders, d, policy,
+                    keep, np.min_scalar_type(length - (min(orders) - 1) * d))
 
 
 def monte_carlo_distribution(
@@ -513,11 +514,7 @@ def volume_oracle(
         raise RangeError("the volume oracle is defined for uniform_b models")
     n = pattern.order
     _check_oracle_order(n)
-    if isinstance(resolution, bool) or not hasattr(resolution, "__index__"):  # True is an int
-        raise RangeError(f"resolution must be an integer, got {resolution!r}")
-    resolution = operator.index(resolution)  # never a truncated float
-    if resolution < 2:
-        raise RangeError(f"resolution must be >= 2, got {resolution}")
+    resolution = _check_int(resolution, "resolution", 2)
     if 2 * resolution ** (n - 1) > 2 ** 53:  # beyond it the cell sums are not exact
         raise RangeError(f"2 resolution^(n-1) must be at most 2^53, got {resolution} at n = {n}")
     entries = (n - 2) * ((n - 2) * (resolution - 1) + 2)  # the sweep's cum table
@@ -592,10 +589,11 @@ class NullSpec:
                 raise RangeError(f"{law} has no closed form")
             if self.step.family == "normal" and self.step.mu != 0:
                 raise RangeError("closed-form normal nulls require mu = 0")
-        if self.samples < 1:
-            raise RangeError(f"samples must be >= 1, got {self.samples}")
-        if self.walk_length is not None and self.walk_length < 2:
-            raise RangeError("walk_length must be >= 2")
+        object.__setattr__(self, "samples", _check_int(self.samples, "samples", 1))
+        if self.walk_length is not None:
+            object.__setattr__(self, "walk_length", _check_int(self.walk_length, "walk_length"))
+            if self.walk_length < 2:
+                raise RangeError("walk_length must be >= 2")
 
     def describe(self) -> str:
         if self.step is None:
@@ -638,14 +636,18 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
     `replicates` divergences as NullSpec states them (None with no
     replicates). A given null's band walks are drawn from band_seed."""
     _check_orders(orders)
-    _check_seed(seed)
+    seed = _check_seed(seed)
     step, method, own = spec.step, "monte_carlo", spec.step is None
     # only an int seed is recorded; every analysis run passes a SeedSequence
-    recorded = int(seed) if isinstance(seed, (int, np.integer)) else None
+    recorded = seed if isinstance(seed, int) else None
     if own or replicates:  # walks of the series' own steps, ranked like the series
         values = _as_values(series)
         steps = _own_steps(values)
         length = max(values.size, (max(orders) - 1) * d + 1)
+    if replicates and not own:  # a given null's band draws walks of its own, first, so
+        # that a band over the count bound is refused before the null's draw
+        _, kept = _drawn_counts(steps, replicates, length, orders, d, band_seed, policy,
+                                keep=replicates)
     if spec.closed_form:
         dists = {n: closed_form_uniform(n, step.b) if step.family == "uniform_b"
                  else closed_form_normal_zero_mean(n) for n in orders}
@@ -664,11 +666,8 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
             top = max(orders)
             drawn, _ = _drawn_counts(step, spec.samples, top, (top,), 1, seed)
             counts = means = {n: _fold(drawn[top], top, n, np.int64) for n in orders}
-        dists = {n: PatternDistribution(n, means[n] / c.sum(), "model", int(c.sum()))
+        dists = {n: PatternDistribution(n, means[n] / c.sum(), "model", c.sum())
                  for n, c in counts.items()}
-    if replicates and not own:  # a given null's band draws walks of its own
-        _, kept = _drawn_counts(steps, replicates, length, orders, d, band_seed, policy,
-                                keep=replicates)
     return tuple((NullModel(step, n, dists[n], method, dists[n].sample_count, recorded),
                   _band(n, kept[n], length - (n - 1) * d, dists[n],
                         counts[n] if own else None, smoothing, classes[n] if own else None)

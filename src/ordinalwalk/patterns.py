@@ -56,6 +56,18 @@ def _check_order(n: int) -> int:
     return n
 
 
+def _check_int(value, name: str, low: int | None = None, error=RangeError) -> int:
+    """value as an int, if it is an integer of any integer type (never a
+    bool, nor a float, which would be truncated) and, given low, at least
+    low; else error, naming the argument. Every integer argument but an
+    order (_check_order) is checked here."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):  # True is an int
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and operator.index(value) < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return operator.index(value)
+
+
 def _check_orders(orders) -> list[int]:
     """The distinct orders, ascending, each checked by _check_order."""
     orders = sorted({_check_order(n) for n in orders})
@@ -140,11 +152,13 @@ class TiePolicy:
         _check_seed(self.seed)
 
 
-def _check_seed(seed) -> None:
-    """Refuse a negative int seed as a RangeError, before numpy refuses it
-    untyped; a SeedSequence (or None, for fresh entropy) passes."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
-        raise RangeError(f"seed must be >= 0, got {seed}")
+def _check_seed(seed):
+    """seed as given if it is a SeedSequence, a Generator or None (fresh
+    entropy), else as an int >= 0 (_check_int), before numpy refuses it
+    untyped."""
+    if seed is None or isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+        return seed
+    return _check_int(seed, "seed", 0)
 
 
 @dataclass(frozen=True, order=True)
@@ -159,10 +173,9 @@ class OrdinalPattern:
     word: tuple[int, ...]
 
     def __post_init__(self):
-        word = tuple(int(v) for v in self.word)
+        word = tuple(_check_int(v, "pattern value") for v in self.word)
         object.__setattr__(self, "word", word)
-        n = len(word)
-        _check_order(n)
+        n = _check_order(len(word))
         if sorted(word) != list(range(1, n + 1)):
             raise RangeError(f"{word} is not a permutation of 1..{n}")
 
@@ -202,8 +215,7 @@ class PatternDistribution:
     sample_count: int = 0
 
     def __post_init__(self):
-        n = int(self.order)
-        _check_order(n)
+        n = _check_order(self.order)
         w = np.array(self.weights, dtype=np.float64)
         if w.shape != (_FACT[n],):
             raise RangeError(
@@ -218,12 +230,13 @@ class PatternDistribution:
             raise RangeError(f"weights must sum to 1 (got {total!r})")
         if self.kind not in ("empirical", "model"):
             raise RangeError(f"unknown distribution kind {self.kind!r}")
-        if self.sample_count < 0:
+        count = _check_int(self.sample_count, "sample_count")
+        if count < 0:
             raise RangeError("sample_count must be nonnegative")
         w.setflags(write=False)
         object.__setattr__(self, "order", n)
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "sample_count", int(self.sample_count))
+        object.__setattr__(self, "sample_count", count)
 
     @classmethod
     def uniform(cls, n: int) -> "PatternDistribution":
@@ -285,9 +298,7 @@ def _pattern_strings(n: int) -> tuple[str, ...]:
 def lex_unrank(n: int, rank: int) -> OrdinalPattern:
     """Inverse of lex_rank: the pattern of given order at the given rank."""
     patterns = _patterns(n)
-    if isinstance(rank, bool) or not isinstance(rank, (int, np.integer)):  # True is an int
-        raise RangeError(f"rank must be an integer, got {rank!r}")
-    if not 0 <= rank < len(patterns):
+    if not 0 <= _check_int(rank, "rank") < len(patterns):
         raise RangeError(f"rank must be in [0, {n}!), got {rank}")
     return patterns[rank]
 
@@ -385,9 +396,9 @@ def _lag_ranks(x: np.ndarray, orders, d: int):
 
 
 def _check_span(length: int, orders, d: int) -> None:
-    """Raise unless d >= 1 and `length` values hold a top-order window."""
-    if d < 1:
-        raise RangeError(f"delay must be >= 1, got {d}")
+    """Raise unless d is an integer >= 1 and `length` values hold a
+    top-order window."""
+    _check_int(d, "delay", 1)
     n = max(orders)
     span = (n - 1) * d + 1
     if length < span:
@@ -444,17 +455,17 @@ def _blocks(rows: int, size: int, orders, d: int):
             yield slice(row, row + 1), lo, min(lo + _CHUNK + overlap, size)
 
 
-def _block_ranks(x: np.ndarray, orders, d: int, first: bool, last: bool):
+def _block_ranks(x: np.ndarray, orders, d: int, first: bool):
     """The (n, ranks) of a block of _blocks that a pass counts, from one
-    _lag_ranks pass: the top order's windows that start in it (all in a
-    row's last block, else the first _CHUNK), then, in a row's first block,
-    each lower order's first (top - n) d windows, which end no top-order
-    window. The rest are suffixes of top-order windows, which _folded
-    counts from the top."""
+    _lag_ranks pass: the top order's windows, all of which start in it
+    (_blocks cuts a long row's blocks to _CHUNK starts plus the overlap),
+    then, in a row's first block, each lower order's first (top - n) d
+    windows, which end no top-order window. The rest are suffixes of
+    top-order windows, which _folded counts from the top."""
     top, heads = max(orders), []
     for n, ranks in _lag_ranks(x, orders, d):
         if n == top:
-            yield n, ranks if last else ranks[..., :_CHUNK]
+            yield n, ranks
         elif first:  # copied, and counted after the pass, which faults fewer pages
             heads.append((n, ranks[..., :(top - n) * d].copy()))
     yield from heads
@@ -509,10 +520,10 @@ def _noised(blocks, orders, d: int, policy: TiePolicy | None):
 _MAX_STACK_COUNTS = 1 << 26
 
 
-def _counted(blocks, size: int, orders, d: int, policy: TiePolicy | None, keep: int, dtype):
-    """Pattern counts per order of the rows of `size` values whose blocks
-    of _blocks come as (row slice, lo, hi, values), jittered by _noised and
-    counted once per window from _block_ranks, then _folded: pooled over
+def _counted(blocks, orders, d: int, policy: TiePolicy | None, keep: int, dtype):
+    """Pattern counts per order of the rows whose blocks of _blocks come as
+    (row slice, lo, hi, values), jittered by _noised and counted once per
+    window from _block_ranks, then _folded: pooled over
     every row in int64, and per row for the first `keep` rows in dtype.
     RangeError, before any count is allocated, if the kept counts would
     exceed _MAX_STACK_COUNTS."""
@@ -523,7 +534,7 @@ def _counted(blocks, size: int, orders, d: int, policy: TiePolicy | None, keep: 
     pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
     kept = {n: np.zeros((keep, _FACT[n]), dtype) for n in orders}
     for rows, lo, hi, x in _noised(blocks, orders, d, policy):
-        for n, ranks in _block_ranks(x, orders, d, lo == 0, hi == size):
+        for n, ranks in _block_ranks(x, orders, d, lo == 0):
             mine = kept[n][rows]  # a view, empty past the kept rows
             if len(mine):  # one bincount, each row's ranks offset by n! times its index
                 mine += np.bincount(
@@ -556,7 +567,7 @@ def pattern_counts(
     stack = values.reshape(-1, size)  # a series is a stack of one row
     blocks = ((rows, lo, hi, stack[rows, lo:hi])
               for rows, lo, hi in _blocks(len(stack), size, orders, d))
-    _, counts = _counted(blocks, size, orders, d, policy, len(stack), np.intp)
+    _, counts = _counted(blocks, orders, d, policy, len(stack), np.intp)
     return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in counts.items()}
 
 

@@ -215,3 +215,16 @@ def test_band_rows_over_the_count_bound_are_refused_before_they_are_counted():
             analyze_run(walk, config)
     # of the per-row counts, only the series' own, at orders 2, 4 and 5
     assert [shape for shape in shapes if np.ndim(shape)] == [(1, 2), (1, 24), (1, 120)]
+
+
+def test_a_given_nulls_band_over_the_count_bound_is_refused_before_the_null_is_drawn():
+    # the band's 10 rows of 24 + 120 counts exceed the bound, and the
+    # step-law null's 500 walks, which keep no rows, are never drawn
+    walk = np.cumsum(np.random.default_rng(6).uniform(-0.4, 0.6, 300))
+    config = AnalysisConfig(orders=(4, 5), replicates=10,
+                            null=NullSpec(StepModel.uniform(0.6), samples=500))
+    with patch.object(patterns, "_MAX_STACK_COUNTS", 1439), \
+            patch("ordinalwalk.nullmodels._sample_steps", side_effect=AssertionError("drawn")):
+        with pytest.raises(RangeError, match="10 rows at orders \\[4, 5\\] need 1440 counts, "
+                                             "more than 1439"):
+            analyze_run(walk, config)

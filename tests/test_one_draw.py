@@ -58,7 +58,7 @@ def test_an_associated_run_draws_once(draws, replicates, walks):
 
 
 @pytest.mark.parametrize("null, expected", [
-    (NullSpec(StepModel.uniform(0.6), samples=500), [500, 10]),
+    (NullSpec(StepModel.uniform(0.6), samples=500), [10, 500]),
     (NullSpec(StepModel.uniform(0.6), closed_form=True), [10]),
 ])
 def test_a_given_null_draws_its_band_apart(draws, null, expected):

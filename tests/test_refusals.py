@@ -1,6 +1,8 @@
 """Every input a constructor or entry point refuses raises its typed error
 (the CLI: exits with its code and message). One parametrized test per
-module, each case a refusal that no other test reaches."""
+module, each case a refusal that no other test reaches. Each integer
+argument refuses 2.5, True and "3" at the call that receives it, before
+any draw or read (patterns._check_int)."""
 
 import numpy as np
 import pytest
@@ -14,18 +16,23 @@ from ordinalwalk import (
     OrderError,
     OrderMismatchError,
     OrdinalPattern,
+    ParseError,
     PatternDistribution,
     RangeError,
     SpecError,
     StepModel,
     TiePolicy,
+    WindowSpec,
     build_null,
     emit,
+    empirical_distribution,
+    ingest_csv,
     kl_divergence,
     lex_unrank,
     monte_carlo_distribution,
     pattern_counts,
     symmetry_transform,
+    volume_oracle,
 )
 from ordinalwalk.cli import main
 from ordinalwalk.patterns import _symmetry_ranks
@@ -34,6 +41,32 @@ PATTERN_12 = OrdinalPattern((1, 2))
 PATTERN_123 = OrdinalPattern((1, 2, 3))
 SAMPLED_3 = PatternDistribution(3, np.full(6, 1 / 6), "empirical", 60)
 WALK_40 = np.cumsum(np.arange(40.0) % 3 - 1)
+UNIFORM = StepModel.uniform(0.6)
+#: the non-integers every integer argument refuses, and how its message shows each
+NOT_INTEGERS = [(2.5, "2.5"), (True, "True"), ("3", "'3'")]
+
+
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    # a row that reads a file finds it, or its absence, in its own directory
+    monkeypatch.chdir(tmp_path)
+
+
+def _written(data: bytes) -> str:
+    with open("in.csv", "wb") as handle:
+        handle.write(data)
+    return "in.csv"
+
+
+def _not_integers(name, call, *error):
+    """A row per non-integer: call(value) refuses it, naming the argument;
+    error, if given, fills the row's error column."""
+    return [(lambda value=value: call(value), *error, f"^{name} must be an integer, got {shown}$")
+            for value, shown in NOT_INTEGERS]
+
+
+def _ids(name):
+    return [f"{name} {shown}" for _, shown in NOT_INTEGERS]
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -45,8 +78,21 @@ WALK_40 = np.cumsum(np.arange(40.0) % 3 - 1)
     (lambda: AnalysisConfig(seed=-1), RangeError, "seed must be >= 0, got -1"),
     (lambda: emit([]), RangeError, "nothing to emit"),
     (lambda: emit([object()]), RangeError, "emit expects AnalysisResult values"),
+    (lambda: ingest_csv(_written(b"\xffx\n1.0\n2.0\n"), header=True), ParseError,
+     r"^in\.csv: line 1: byte 0xff is not UTF-8$"),
+    (lambda: ingest_csv("absent.csv", column=0.0), ParseError,
+     r"^absent\.csv: column index must be an integer, got 0\.0$"),
+    *_not_integers("delay", lambda v: AnalysisConfig(delay=v), RangeError),
+    *_not_integers("seed", lambda v: AnalysisConfig(seed=v), RangeError),
+    *_not_integers("replicates", lambda v: AnalysisConfig(replicates=v), RangeError),
+    *_not_integers("window length", lambda v: WindowSpec(v, 1), RangeError),
+    *_not_integers("stride", lambda v: WindowSpec(10, v), RangeError),
+    *_not_integers("absent.csv: column index", lambda v: ingest_csv("absent.csv", column=v),
+                   ParseError)[:2],  # "3" is a column name
 ], ids=["negative smoothing", "NaN smoothing", "infinite smoothing", "negative seed",
-        "emit nothing", "emit a non-result"])
+        "emit nothing", "emit a non-result", "header not UTF-8", "column 0.0",
+        *_ids("delay"), *_ids("seed"), *_ids("replicates"), *_ids("window length"),
+        *_ids("stride"), *_ids("column")[:2]])
 def test_analysis_refuses(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -59,7 +105,9 @@ def test_analysis_refuses(call, error, message):
      "classes do not partition"),
     (lambda: EquivalenceClassTable(3, (tuple(range(6)),), "reference").class_of(PATTERN_12),
      OrderMismatchError, "pattern order 2 vs table order 3"),
-], ids=["a rank missing", "a rank twice", "class_of at another order"])
+    *_not_integers("class rank", lambda v: EquivalenceClassTable(3, ((0, 1, 2), (3, 4, v)),
+                                                                "reference"), OrderError),
+], ids=["a rank missing", "a rank twice", "class_of at another order", *_ids("class rank")])
 def test_classes_refuse(call, error, message):
     with pytest.raises(error, match=message):
         call()
@@ -120,10 +168,16 @@ def test_cli_refuses(tmp_path, walk_csv, capsys, argv, config, code, message):
     (dict(kind="logistic", x0=None), "cannot read x0 None as a number"),
     (dict(kind="mod10", x0="1/x"), "cannot read x0 '1/x' as a rational"),
     (dict(kind="iid_uniform", seed=-1), "seed must be >= 0, got -1"),
-], ids=["logistic x0", "logistic x0 None", "mod10 x0", "negative seed"])
+    (dict(kind="sine", length=0), "^length must be >= 1, got 0$"),
+    *[(dict(kind="sine", length=value), f"^length must be an integer, got {shown}$")
+      for value, shown in NOT_INTEGERS],
+    *[(dict(kind="iid_uniform", seed=value), f"^seed must be an integer, got {shown}$")
+      for value, shown in NOT_INTEGERS],
+], ids=["logistic x0", "logistic x0 None", "mod10 x0", "negative seed", "length 0",
+        *_ids("length"), *_ids("seed")])
 def test_generators_refuse(spec, message):
     with pytest.raises(SpecError, match=message):
-        GeneratorSpec(length=10, **spec)
+        GeneratorSpec(**{"length": 10, **spec})
 
 
 @pytest.mark.parametrize("call, message", [
@@ -157,10 +211,21 @@ def test_metrics_refuse(call, message):
      "seed must be >= 0, got -1"),
     (lambda: monte_carlo_distribution(StepModel.uniform(0.6), 3, 100, seed=-1),
      "seed must be >= 0, got -1"),
+    (lambda: StepModel("empirical"), "empirical needs a step multiset"),
+    (lambda: StepModel.normal(float("nan"), 1.0),
+     "^normal needs finite mu and sigma, got mu=nan sigma=1.0$"),
+    (lambda: StepModel.normal(0.0, float("inf")),
+     "^normal needs finite mu and sigma, got mu=0.0 sigma=inf$"),
+    *_not_integers("seed", lambda v: monte_carlo_distribution(UNIFORM, 3, 100, seed=v)),
+    *_not_integers("samples", lambda v: NullSpec(UNIFORM, samples=v)),
+    *_not_integers("walk_length", lambda v: NullSpec(walk_length=v)),
+    *_not_integers("resolution", lambda v: volume_oracle(PATTERN_123, UNIFORM, v)),
 ], ids=["uniform with mu", "normal with b", "normal with steps", "empirical with sigma",
         "unknown family", "step not a StepModel", "walk length 1",
         "parametric null negative seed", "associated null negative seed",
-        "Monte Carlo negative seed"])
+        "Monte Carlo negative seed", "empirical without steps", "normal NaN mu",
+        "normal infinite sigma", *_ids("seed"), *_ids("samples"), *_ids("walk_length"),
+        *_ids("resolution")])
 def test_nullmodels_refuse(call, message):
     with pytest.raises(RangeError, match=message):
         call()
@@ -187,10 +252,24 @@ def test_nullmodels_refuse(call, message):
      "a series stack must be nonempty and finite"),
     (lambda: pattern_counts(np.zeros((0, 3)), (2,)),
      "a series stack must be nonempty and finite"),
+    (lambda: TiePolicy("jitter"), "^jitter mode requires jitter_scale > 0$"),
+    (lambda: empirical_distribution(WALK_40, 3, 0), "^delay must be >= 1, got 0$"),
+    (lambda: PatternDistribution(2.5, [0.5, 0.5], "model"), "^orders must be integers, got 2.5$"),
+    (lambda: PatternDistribution(True, [0.5, 0.5], "model"),
+     r"^patterns support orders 2\.\.7, got 1$"),
+    (lambda: PatternDistribution("3", np.full(6, 1 / 6), "model"),
+     "^orders must be integers, got '3'$"),
+    *_not_integers("delay", lambda v: empirical_distribution(WALK_40, 3, v)),
+    *_not_integers("seed", lambda v: TiePolicy("jitter", 0.1, v)),
+    *_not_integers("pattern value", lambda v: OrdinalPattern((2, 1, v))),
+    *_not_integers("sample_count", lambda v: PatternDistribution(2, [0.5, 0.5], "model", v)),
+    *_not_integers("rank", lambda v: lex_unrank(3, v)),
 ], ids=["unknown tie mode", "jitter negative seed", "unparsable pattern", "weights of another shape",
         "negative weight", "unknown kind", "negative sample count", "weight_of another order",
         "rank past n!", "negative rank", "float rank", "unknown symmetry",
-        "unknown symmetry table", "NaN in a stack", "empty stack"])
+        "unknown symmetry table", "NaN in a stack", "empty stack", "jitter without a scale",
+        "delay 0", "order 2.5", "order True", "order '3'", *_ids("delay"), *_ids("seed"),
+        *_ids("pattern value"), *_ids("sample_count"), *_ids("rank")])
 def test_patterns_refuse(call, message):
     with pytest.raises(RangeError, match=message):
         call()
