@@ -22,7 +22,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Literal
 
@@ -47,7 +46,6 @@ from .patterns import (
     _as_series,
     _check_int,
     _check_orders,
-    _check_seed,
     _pattern_strings,
     empirical_distributions,
 )
@@ -60,8 +58,10 @@ class AnalysisConfig:
     orders are the pattern lengths to report on (3..MAX_ORDER); delay,
     tie policy, and smoothing feed pattern extraction and divergence;
     null picks the reference model; replicates sets the bootstrap size
-    (0 disables the band). A jitter policy's noise is drawn from the run's
-    seed, so the policy's own seed must stay 0.
+    (0 disables the band). seed is an int >= 0, which every report
+    records and every stream of the run derives from; None draws fresh
+    entropy, so the run cannot be repeated. A jitter policy's noise is
+    drawn from the run's seed, so the policy's own seed must stay 0.
     """
 
     orders: tuple[int, ...] = (4, 5)
@@ -83,7 +83,8 @@ class AnalysisConfig:
         object.__setattr__(self, "replicates", _check_int(self.replicates, "replicates"))
         if self.replicates < 0 or self.replicates == 1:  # a band's spread needs two
             raise RangeError(f"replicates must be 0 or >= 2, got {self.replicates}")
-        object.__setattr__(self, "seed", _check_seed(self.seed))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
         _check_smoothing(self.smoothing)
 
 
@@ -368,7 +369,10 @@ def windowed_run(
     except AttributeError:  # platforms without CPU affinity
         cores = os.cpu_count() or 1
     # threads, not processes: numpy releases the GIL in the draws, sums and
-    # comparisons, the class tables are shared, and nothing is pickled
+    # comparisons, the class tables are shared, and nothing is pickled; the
+    # pool's module loads here, as no other command uses it
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(min(cores, len(starts))) as pool:
         return list(pool.map(run, starts))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Literal
 
 import numpy as np
@@ -58,17 +58,20 @@ class EquivalenceClassTable:
 
     def __post_init__(self):
         n = _check_order(self.order)
-        groups = tuple(tuple(sorted(_check_int(r, "class rank", error=OrderError) for r in g))
-                       for g in self.classes)
-        groups = tuple(sorted(groups))
+        size = _FACT[n]
+        sizes = [len(g) for g in self.classes]
+        flat = [r for g in self.classes for r in g]
+        if not {int}.issuperset(map(type, flat)):  # numpy integers, or ranks to refuse
+            flat = [_check_int(r, "class rank", error=OrderError) for r in flat]
+        if len(flat) != size or min(flat) < 0 or max(flat) >= size or not (
+                np.bincount(flat, minlength=size) == 1).all():
+            raise OrderError(f"classes do not partition the {size} patterns of order {n}")
+        ranks = iter(flat)
+        groups = tuple(sorted(tuple(sorted(islice(ranks, k))) for k in sizes))
         object.__setattr__(self, "classes", groups)
-        flat = [r for g in groups for r in g]
-        if sorted(flat) != list(range(_FACT[n])):
-            raise OrderError(
-                f"classes do not partition the {_FACT[n]} patterns of order {n}"
-            )
-        ids = np.empty(_FACT[n], dtype=np.intp)
-        ids[flat] = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+        ids = np.empty(size, dtype=np.intp)
+        ids[[r for g in groups for r in g]] = np.repeat(np.arange(len(groups)),
+                                                        [len(g) for g in groups])
         ids.setflags(write=False)
         object.__setattr__(self, "ids", ids)
         open_classes = ids[ids[_symmetry_ranks(n, "reverse_complement")] != ids]

@@ -7,6 +7,10 @@ long flag (keys use underscores; a string or number value is read as
 the flag's own text would be, a list only by a comma-list flag, and a
 switch takes only true or false); explicit flags win. In --strict mode
 every run that consumes randomness must name its --seed.
+
+The flag table, _FLAGS, is the one statement of every subcommand's flags
+and config keys. A call registers every subcommand's name but builds
+only its own subcommand's flags.
 """
 
 from __future__ import annotations
@@ -76,122 +80,117 @@ def _index_or_name(text: str) -> int | str:
         return text
 
 
-def _build_parser() -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser, and its subcommand parsers by name."""
+_ALL = "analyze window simulate nullmodel classes oracle"
+_STEPPED = "analyze window simulate nullmodel"  # the step law, and a seed
+_COLUMN = dict(type=_index_or_name, default=0,
+               help="column index or (with --header) name, default 0")
+_SWITCH = argparse.BooleanOptionalAction
+_HEADER = dict(action=_SWITCH, default=False, help="treat the first row as a header")
+
+#: The one statement of every flag and config key: per row, the subcommands
+#: that take the flag, its names and its add_argument keywords. A
+#: subcommand's parser gets its rows in table order, which is the order its
+#: --help lists them in, and a config file's keys are its rows' dests.
+_FLAGS = (
+    # analyze and window: the series, its patterns and the null
+    ("analyze window", ("input",), dict(help="CSV file of values")),
+    ("analyze window", ("--column",), _COLUMN),
+    ("analyze window", ("--header",), _HEADER),
+    ("analyze window", ("--orders",), dict(type=_comma_list(int, "integers"), default=(4, 5),
+                                           help="pattern lengths, e.g. 4,5")),
+    ("analyze window", ("--delay",), dict(type=int, default=1,
+                                          help="pattern delay d (default 1)")),
+    ("analyze window", ("--ties",), dict(choices=("stable", "strict", "jitter"), default="stable",
+                                         help="tie policy (default stable)")),
+    ("analyze window", ("--jitter-scale",), dict(type=float, default=0.0)),
+    ("analyze window", ("--null",), dict(choices=("associated", "uniform", "normal"),
+                                         default="associated",
+                                         help="null model kind (default associated)")),
+    ("analyze window", ("--walk-length",), dict(
+        type=int, help="values the associated null draws (default max(5e5, 50N))")),
+    # simulate's series; nullmodel's and classes' order, and nullmodel's family
+    ("simulate", ("--kind",), dict(choices=("iid_uniform", "walk", "logistic", "mod10", "sine"))),
+    ("simulate", ("--length", "-N"), dict(type=int, help="number of samples")),
+    ("simulate", ("--step-family",), dict(choices=("uniform", "normal"), help="walk step law")),
+    ("nullmodel classes", ("--n",), dict(type=int, default=4, help="pattern length (default 4)")),
+    ("nullmodel", ("--family",), dict(choices=("uniform", "normal", "associated"),
+                                      default="uniform", help="step law (default uniform)")),
+    # the step law
+    (_STEPPED, ("--b",), dict(type=float, default=0.5, help="uniform step model's P(Y > 0)")),
+    (_STEPPED, ("--mu",), dict(type=float, default=0.0, help="normal step mean")),
+    (_STEPPED, ("--sigma",), dict(type=float, default=1.0, help="normal step deviation")),
+    ("analyze window", ("--closed-form",), dict(action=_SWITCH, default=False,
+                                                help="use exact null tables")),
+    ("nullmodel", ("--closed-form",), dict(action=_SWITCH, default=False,
+                                           help="use exact tables")),
+    # analyze and window: the band and the output, and the windows
+    ("analyze window", ("--null-samples",), dict(
+        type=int, default=1_000_000, help="Monte Carlo draws for parametric nulls (default 1e6)")),
+    ("analyze window", ("--replicates", "-R"), dict(
+        type=int, default=400, help="bootstrap replicates (default 400, 0 disables)")),
+    ("analyze window", ("--smoothing",), dict(
+        type=float, default=1.0, help="pseudocount for sampled nulls (default 1)")),
+    ("analyze window", ("--format",), dict(choices=("json", "csv", "plotdata"), default="json",
+                                           help="output format (default json)")),
+    ("window", ("--window", "-W"), dict(type=int, dest="window_length", default=1258,
+                                        help="window length in samples (default 1258)")),
+    ("window", ("--stride", "-S"), dict(type=int, default=250,
+                                        help="window stride (default 250)")),
+    # simulate's maps and sine
+    ("simulate", ("--x0",), dict(default=0.4, help="map initial condition; mod10 accepts p/q")),
+    ("simulate", ("--period",), dict(type=float, default=20.0,
+                                     help="sine period in samples (default 20)")),
+    ("simulate", ("--phase",), dict(type=float, default=0.0, help="sine phase (default 0)")),
+    ("simulate", ("--amplitude",), dict(type=float, default=1.0,
+                                        help="sine amplitude (default 1)")),
+    ("simulate", ("--format",), dict(choices=("csv", "json"), default="csv",
+                                     help="csv: bare ingestible column; json embeds the seed")),
+    # nullmodel's draw and series
+    ("nullmodel", ("--samples",), dict(type=int, default=1_000_000,
+                                       help="Monte Carlo draws (default 1e6)")),
+    ("nullmodel", ("--walk-length",), dict(
+        type=int, help="values the associated null draws, in series-length walks")),
+    ("nullmodel", ("--input",), dict(help="CSV series (associated family only)")),
+    ("nullmodel", ("--column",), _COLUMN),  # listed after nullmodel's own flags
+    ("nullmodel", ("--header",), _HEADER),
+    ("nullmodel", ("--format",), dict(choices=("json", "csv"), default="json",
+                                      help="default json")),
+    # classes and oracle
+    ("classes", ("--closure",), dict(
+        action="store_true",
+        help="emit the reverse/complement closure instead of the derived classes")),
+    ("oracle", ("--n",), dict(type=int, default=4, help="pattern length, 3..5 (default 4)")),
+    ("oracle", ("--b",), dict(type=_comma_list(float, "numbers"), default=(0.55, 0.65, 0.75, 0.85),
+                              help="step parameters, e.g. 0.55,0.65")),
+    ("oracle", ("--resolution",), dict(type=int, default=400,
+                                       help="grid cells per axis (default 400)")),
+    # every subcommand
+    (_ALL, ("--config",), dict(help="JSON file of flag defaults")),
+    (_ALL, ("--output", "-o"), dict(help="write to this path instead of stdout")),
+    (_ALL, ("--strict",), dict(action="store_true",
+                               help="require --seed on runs that consume randomness")),
+    (_STEPPED, ("--seed",), dict(type=int, help="random seed (default 0)")),
+)
+
+def _flags(command: str) -> dict[str, tuple[tuple[str, ...], dict]]:
+    """The names and keywords of a subcommand's flags, by dest, in table order."""
+    return {keywords.get("dest", names[0].lstrip("-").replace("-", "_")): (names, keywords)
+            for commands, names, keywords in _FLAGS if command in commands.split()}
+
+
+def _build_parser(command: str | None) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and its subcommand parsers by name. Every
+    subcommand is registered with its help, but only the parser of
+    `command` (if it names one) gets its flags."""
     parser = _Parser(prog="ordinalwalk",
                      description="ordinal-pattern analysis against random-walk nulls")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, _Parser] = {}
-
-    def command(name, func, help):
-        p = commands[name] = sub.add_parser(name, help=help)
-        p.set_defaults(func=func)
-        return p
-
-    def common(p, *, seeded=True):
-        p.add_argument("--config", help="JSON file of flag defaults")
-        p.add_argument("--output", "-o", help="write to this path instead of stdout")
-        p.add_argument("--strict", action="store_true",
-                       help="require --seed on runs that consume randomness")
-        if seeded:
-            p.add_argument("--seed", type=int, help="random seed (default 0)")
-
-    def step_flags(p):
-        p.add_argument("--b", type=float, default=0.5, help="uniform step model's P(Y > 0)")
-        p.add_argument("--mu", type=float, default=0.0, help="normal step mean")
-        p.add_argument("--sigma", type=float, default=1.0, help="normal step deviation")
-
-    def column_flags(p):
-        p.add_argument("--column", type=_index_or_name, default=0,
-                       help="column index or (with --header) name, default 0")
-        p.add_argument("--header", action=argparse.BooleanOptionalAction, default=False,
-                       help="treat the first row as a header")
-
-    def analysis_flags(p):
-        p.add_argument("input", help="CSV file of values")
-        column_flags(p)
-        p.add_argument("--orders", type=_comma_list(int, "integers"), default=(4, 5),
-                       help="pattern lengths, e.g. 4,5")
-        p.add_argument("--delay", type=int, default=1, help="pattern delay d (default 1)")
-        p.add_argument("--ties", choices=("stable", "strict", "jitter"), default="stable",
-                       help="tie policy (default stable)")
-        p.add_argument("--jitter-scale", type=float, dest="jitter_scale", default=0.0)
-        p.add_argument("--null", choices=("associated", "uniform", "normal"),
-                       default="associated", help="null model kind (default associated)")
-        p.add_argument("--walk-length", type=int, dest="walk_length",
-                       help="values the associated null draws (default max(5e5, 50N))")
-        step_flags(p)
-        p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
-                       dest="closed_form", default=False,
-                       help="use exact null tables")
-        p.add_argument("--null-samples", type=int, dest="null_samples", default=1_000_000,
-                       help="Monte Carlo draws for parametric nulls (default 1e6)")
-        p.add_argument("--replicates", "-R", type=int, default=400,
-                       help="bootstrap replicates (default 400, 0 disables)")
-        p.add_argument("--smoothing", type=float, default=1.0,
-                       help="pseudocount for sampled nulls (default 1)")
-        p.add_argument("--format", choices=("json", "csv", "plotdata"), default="json",
-                       help="output format (default json)")
-
-    p = command("analyze", _cmd_analyze, "whole-series pattern metrics")
-    analysis_flags(p)
-    common(p)
-
-    p = command("window", _cmd_analyze, "sliding-window pattern metrics")
-    analysis_flags(p)
-    p.add_argument("--window", "-W", type=int, dest="window_length", default=1258,
-                   help="window length in samples (default 1258)")
-    p.add_argument("--stride", "-S", type=int, default=250,
-                   help="window stride (default 250)")
-    common(p)
-
-    p = command("simulate", _cmd_simulate, "emit a synthetic series")
-    p.add_argument("--kind", choices=("iid_uniform", "walk", "logistic", "mod10", "sine"))
-    p.add_argument("--length", "-N", type=int, help="number of samples")
-    p.add_argument("--step-family", choices=("uniform", "normal"), dest="step_family",
-                   help="walk step law")
-    step_flags(p)
-    p.add_argument("--x0", default=0.4, help="map initial condition; mod10 accepts p/q")
-    p.add_argument("--period", type=float, default=20.0,
-                   help="sine period in samples (default 20)")
-    p.add_argument("--phase", type=float, default=0.0, help="sine phase (default 0)")
-    p.add_argument("--amplitude", type=float, default=1.0,
-                   help="sine amplitude (default 1)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv",
-                   help="csv: bare ingestible column; json embeds the seed")
-    common(p)
-
-    p = command("nullmodel", _cmd_nullmodel, "emit a null model's pattern distribution")
-    p.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
-    p.add_argument("--family", choices=("uniform", "normal", "associated"),
-                   default="uniform", help="step law (default uniform)")
-    step_flags(p)
-    p.add_argument("--closed-form", action=argparse.BooleanOptionalAction,
-                   dest="closed_form", default=False, help="use exact tables")
-    p.add_argument("--samples", type=int, default=1_000_000,
-                   help="Monte Carlo draws (default 1e6)")
-    p.add_argument("--walk-length", type=int, dest="walk_length",
-                   help="values the associated null draws, in series-length walks")
-    p.add_argument("--input", help="CSV series (associated family only)")
-    column_flags(p)
-    p.add_argument("--format", choices=("json", "csv"), default="json", help="default json")
-    common(p)
-
-    p = command("classes", _cmd_classes, "emit pattern equivalence classes")
-    p.add_argument("--n", type=int, default=4, help="pattern length (default 4)")
-    p.add_argument("--closure", action="store_true",
-                   help="emit the reverse/complement closure instead of the "
-                        "derived classes")
-    common(p, seeded=False)
-
-    p = command("oracle", _cmd_oracle, "quadrature volumes vs closed forms")
-    p.add_argument("--n", type=int, default=4, help="pattern length, 3..5 (default 4)")
-    p.add_argument("--b", type=_comma_list(float, "numbers"), default=(0.55, 0.65, 0.75, 0.85),
-                   help="step parameters, e.g. 0.55,0.65")
-    p.add_argument("--resolution", type=int, default=400,
-                   help="grid cells per axis (default 400)")
-    common(p, seeded=False)
-
+    # a parser that argparse never hands argv to needs no -h either
+    commands = {name: sub.add_parser(name, help=text, add_help=name == command)
+                for name, (text, _) in _COMMANDS.items()}
+    if command in commands:
+        for names, keywords in _flags(command).values():
+            commands[command].add_argument(*names, **keywords)
     return parser, commands
 
 
@@ -206,11 +205,12 @@ def _config_text(value) -> str:
     return str(value)
 
 
-def _load_config(args, parser: _Parser) -> dict:
-    """The config file's flag defaults for one subcommand's parser; a
-    null value leaves a flag's own, and a list's elements are joined."""
+def _load_config(path: str, command: str) -> dict:
+    """The config file's flag defaults for one subcommand, checked against
+    its rows of _FLAGS; a null value leaves a flag's own, and a list's
+    elements are joined."""
     try:
-        with open(args.config, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle:
             loaded = json.load(handle)
     except OSError as exc:
         raise _UsageError(f"cannot read config file: {exc}") from exc
@@ -218,22 +218,24 @@ def _load_config(args, parser: _Parser) -> dict:
         raise _UsageError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(loaded, dict):
         raise _UsageError("config file must hold a JSON object")
-    actions = {action.dest: action for action in parser._actions}
+    flags = _flags(command)
     defaults = {}
     for key, value in loaded.items():
-        action = actions.get(key)
-        if action is None or key in ("help", "config"):
+        if key not in flags or key == "config":
             raise _UsageError(f"config key {key!r} is not a flag of this subcommand")
         if value is None:
             continue
-        if isinstance(value, list) and getattr(action.type, "comma_list", False):
+        _, flag = flags[key]
+        kind = flag.get("type")
+        if isinstance(value, list) and getattr(kind, "comma_list", False):
             value = ",".join(map(_config_text, value))
-        elif action.type is not None and type(value) in (int, float):
+        elif kind is not None and type(value) in (int, float):
             value = _config_text(value)
-        # a switch (nargs 0) takes only true or false, and only a comma-list flag a list
-        if (action.nargs == 0) != isinstance(value, bool) or isinstance(value, (list, dict)):
+        # a switch takes only true or false, and only a comma-list flag a list
+        switch = flag.get("action") in ("store_true", _SWITCH)
+        if switch != isinstance(value, bool) or isinstance(value, (list, dict)):
             raise _UsageError(f"config key {key!r} has invalid value {value!r}")
-        if action.choices is not None and value not in action.choices:
+        if "choices" in flag and value not in flag["choices"]:
             raise _UsageError(f"config key {key!r} has invalid choice {value!r}")
         defaults[key] = value
     return defaults
@@ -374,17 +376,31 @@ def _cmd_oracle(args) -> int:
 # entry point
 # --------------------------------------------------------------------------
 
+#: Every subcommand: its help and the function that runs it, in the order
+#: the top-level --help lists them.
+_COMMANDS = {
+    "analyze": ("whole-series pattern metrics", _cmd_analyze),
+    "window": ("sliding-window pattern metrics", _cmd_analyze),
+    "simulate": ("emit a synthetic series", _cmd_simulate),
+    "nullmodel": ("emit a null model's pattern distribution", _cmd_nullmodel),
+    "classes": ("emit pattern equivalence classes", _cmd_classes),
+    "oracle": ("quadrature volumes vs closed forms", _cmd_oracle),
+}
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        parser, commands = _build_parser()
+        # the top level's one option is -h, so argparse hands the rest of argv
+        # to the subcommand the first token that is not an option names
+        parser, commands = _build_parser(next((a for a in argv if a[:1] != "-"), None))
         args = parser.parse_args(argv)
         if args.config:
             # config values become the subcommand's defaults; a second parse
             # lets explicit flags win and runs string values through type=
-            command = commands[args.command]
-            command.set_defaults(**_load_config(args, command))
+            commands[args.command].set_defaults(**_load_config(args.config, args.command))
             args = parser.parse_args(argv)
-        return args.func(args)
+        return _COMMANDS[args.command][1](args)
     except (_UsageError, SpecError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

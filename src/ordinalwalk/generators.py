@@ -8,7 +8,7 @@ plain sine wave. Same spec, same output, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from numbers import Rational
 from typing import Literal
 
 import numpy as np
@@ -35,7 +35,7 @@ class GeneratorSpec:
     length: int
     seed: int = 0
     step: StepModel | None = None
-    x0: float | str | Fraction = 0.4
+    x0: float | str | Rational = 0.4
     period: float = 20.0
     phase: float = 0.0
     amplitude: float = 1.0
@@ -51,6 +51,8 @@ class GeneratorSpec:
             if self.kind == "mod10":
                 x0 = self._exact_x0()
             else:
+                from fractions import Fraction  # loads decimal, which only the maps need
+
                 try:
                     x0 = Fraction(float(self.x0))
                 except (TypeError, ValueError) as exc:
@@ -60,7 +62,9 @@ class GeneratorSpec:
         if self.kind == "sine" and not self.period > 0:
             raise SpecError(f"sine needs period > 0, got {self.period}")
 
-    def _exact_x0(self) -> Fraction:
+    def _exact_x0(self) -> Rational:
+        from fractions import Fraction
+
         try:
             return Fraction(self.x0)
         except (ValueError, TypeError) as exc:
@@ -93,7 +97,7 @@ def _logistic(x0: float, length: int) -> TimeSeries:
     return TimeSeries(out)
 
 
-def _mod10(x0: Fraction, length: int) -> TimeSeries:
+def _mod10(x0: Rational, length: int) -> TimeSeries:
     # Exact rational iteration: the state is the numerator over a fixed
     # denominator, and x -> 10x mod 1 maps num -> 10*num mod den. Any
     # revisited state means the orbit is periodic and pattern statistics

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from typing import Literal
@@ -276,7 +275,7 @@ def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, see
     value of the block before. The draws do not depend on the blocks. Each
     block is a new column-major array, so the kernel's loops run down the
     walks, and its reader may write it (patterns._noised does)."""
-    _check_span(length, orders, d)
+    d = _check_span(length, orders, d)
     rng, overlap = np.random.default_rng(seed), (max(orders) - 1) * d
     for walks, lo, hi in _blocks(rows, length, orders, d):
         if lo == 0:  # whole walks, or a long walk's first block
@@ -481,6 +480,8 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
                              - counts[order[u, :j]].max(axis=0, initial=0))
                     acc[:, rank] += np.bincount(admitted * admits[u], np.maximum(cells, 0),
                                                 minlength=spare + 1).astype(np.int64)
+    from fractions import Fraction  # loads decimal, which only the oracle needs
+
     scale = 2 * resolution ** m
     volumes = np.array([float(sum(Fraction(int(c), k) for k, c in enumerate(col) if k and c)
                               / scale) for col in acc.T])
@@ -636,7 +637,7 @@ def _nulls_and_bands(series, orders, spec: NullSpec, seed=0, d: int = 1,
     `replicates` divergences as NullSpec states them (None with no
     replicates). A given null's band walks are drawn from band_seed."""
     _check_orders(orders)
-    seed = _check_seed(seed)
+    seed, d = _check_seed(seed), _check_int(d, "delay", 1)  # lengths and blocks need an int
     step, method, own = spec.step, "monte_carlo", spec.step is None
     # only an int seed is recorded; every analysis run passes a SeedSequence
     recorded = seed if isinstance(seed, int) else None

@@ -395,19 +395,21 @@ def _lag_ranks(x: np.ndarray, orders, d: int):
             yield m + 1, rank
 
 
-def _check_span(length: int, orders, d: int) -> None:
-    """Raise unless d is an integer >= 1 and `length` values hold a
-    top-order window."""
-    _check_int(d, "delay", 1)
+def _check_span(length: int, orders, d: int) -> int:
+    """d as an int (_check_int), if it is an integer >= 1 and `length`
+    values hold a top-order window; else raise."""
+    d = _check_int(d, "delay", 1)
     n = max(orders)
     span = (n - 1) * d + 1
     if length < span:
         raise LengthError(f"series of length {length} is too short for order {n} "
                           f"at delay {d} (needs {span})")
+    return d
 
 
-def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
-    """Validated values for a rank pass; a jitter policy's noise is _noised's.
+def _prepared(series, orders, d: int, policy: TiePolicy | None) -> tuple[np.ndarray, int]:
+    """Validated values for a rank pass, and d as an int (_check_span); a
+    jitter policy's noise is _noised's.
 
     Owns the strict tie rule: TieError if any window of a requested order
     holds two equal values. Those lie k*d apart for some 0 < k < n, and
@@ -416,7 +418,7 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
     """
     values = _as_values(series)
     size = values.shape[-1]
-    _check_span(size, orders, d)
+    d = _check_span(size, orders, d)
     if policy is not None and policy.mode == "strict":
         for k in range(1, max(orders)):
             windows = size - (min(n for n in orders if n > k) - 1) * d
@@ -425,7 +427,7 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None) -> np.ndarray:
                 equal = equal[..., np.arange(size - k * d) % d < windows]
             if equal.any():
                 raise TieError("window contains duplicate values (strict ties)")
-    return values
+    return values, d
 
 
 #: window starts ranked and counted at a time: the one block size of every
@@ -562,7 +564,7 @@ def pattern_counts(
     before they are allocated.
     """
     orders = _check_orders(orders)
-    values = _prepared(series, orders, d, policy)
+    values, d = _prepared(series, orders, d, policy)
     size = values.shape[-1]
     stack = values.reshape(-1, size)  # a series is a stack of one row
     blocks = ((rows, lo, hi, stack[rows, lo:hi])
@@ -604,7 +606,8 @@ def extract_patterns(
     exactly N-(n-1)d patterns come back, in series order.
     """
     orders = _check_orders((n,))
-    values = _prepared(_as_series(series), orders, d, policy)[None]  # one row, one block
+    values, d = _prepared(_as_series(series), orders, d, policy)
+    values = values[None]  # one row, one block
     (*_, values), = _noised([(None, 0, values.size, values)], orders, d, policy)
     _, ranks = next(_lag_ranks(values[0], orders, d))
     patterns = _patterns(n)

@@ -42,7 +42,7 @@ def _per_order_counts(values, orders, d, policy):
     # pattern_counts as it was: every order's windows ranked by _lag_ranks
     # and bincounted on their own, with no blocks, and any jitter noise
     # drawn at once over the whole series or stack
-    prepared = _prepared(values, orders, d, policy)
+    prepared, _ = _prepared(values, orders, d, policy)
     if policy.mode == "jitter":
         noise = np.random.default_rng(policy.seed).normal(0.0, policy.jitter_scale, values.shape)
         prepared = prepared + noise

@@ -28,6 +28,7 @@ from ordinalwalk import (
     WindowSpec,
     analyze_run,
     build_null,
+    build_nulls,
     emit,
     empirical_distribution,
     generate,
@@ -104,3 +105,24 @@ def test_non_integers_are_refused(value, shown):
 def test_a_value_below_its_bound_is_refused():
     with pytest.raises(RangeError, match="^count must be >= 2, got 1$"):
         _check_int(np.int64(1), "count", 2)
+
+
+def test_a_small_unsigned_delay_counts_a_long_series_as_its_int():
+    # 70 000 values overflow uint16 arithmetic, so the rank pass and the
+    # walk sampler must compute with the int the delay check returns
+    values = np.arange(70_000.0)
+    got, expected = pattern_counts(values, (3,), np.uint16(2)), pattern_counts(values, (3,), 2)
+    assert got[3].tolist() == expected[3].tolist()
+    spec = NullSpec(walk_length=70_000)
+    nulls = [build_nulls(values, (3,), spec, 1, d)[0].distribution.weights
+             for d in (np.uint16(2), 2)]
+    assert nulls[0].tobytes() == nulls[1].tobytes()
+
+
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(1), np.random.default_rng(1)],
+                         ids=["SeedSequence", "Generator"])
+def test_an_analysis_seed_is_an_int(seed):
+    # every report records the seed, so a seed that is not an int is
+    # refused where it is given, not when the run derives its streams
+    with pytest.raises(RangeError, match="^seed must be an integer, got "):
+        AnalysisConfig(seed=seed)

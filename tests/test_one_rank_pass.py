@@ -76,7 +76,8 @@ def test_extracted_patterns_are_those_of_one_whole_draw():
 
 def test_preparing_draws_no_noise():
     series = TimeSeries(np.repeat(np.arange(10.0), 3))
-    assert _prepared(series, (3,), 1, TiePolicy("jitter", jitter_scale=0.5)) is series.values
+    values, _ = _prepared(series, (3,), 1, TiePolicy("jitter", jitter_scale=0.5))
+    assert values is series.values
 
 
 def test_a_jittered_pass_holds_blocks_not_the_series():

@@ -7,13 +7,16 @@ such as the `src` directory of two checkouts. The script writes its own
 seeded inputs to a temporary directory: a 2 000-point uniform-step walk,
 a 5 000-point series that turns from a walk into the logistic map, and a
 200 000-row tie-heavy tick series, whose rows and associated walks are
-longer than one rank block. It runs every command below once with each
-tree on PYTHONPATH, compares stdout, stderr and exit code, prints one
-line per command, and exits 1 if any of them differ. It needs only numpy.
+longer than one rank block, and a JSON config file of flag defaults.
+It runs every command below once with each tree on PYTHONPATH, among
+them every --help and one unknown subcommand, compares stdout, stderr
+and exit code, prints one line per command, and exits 1 if any of them
+differ. It needs only numpy.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -23,6 +26,13 @@ from pathlib import Path
 import numpy as np
 
 WALK, REGIME, TICKS = "walk2k.csv", "regime5k.csv", "ticks200k.csv"
+CONFIG = "analyze.json"
+#: the config file's flag defaults: a comma list as a JSON list, integral
+#: floats, a choice, switches, a null and a seed, which the command's
+#: explicit --orders overrides
+CONFIG_VALUES = {"orders": [3, 4], "walk_length": 1e5, "replicates": 20.0, "ties": "strict",
+                 "closed_form": False, "header": False, "null_samples": None, "seed": 19}
+SUBCOMMANDS = ("analyze", "window", "simulate", "nullmodel", "classes", "oracle")
 
 COMMANDS = [
     ("analyze default", ["analyze", WALK, "--seed", "1"]),
@@ -86,6 +96,10 @@ COMMANDS = [
     ("analyze ticks d=2 long walks", ["analyze", TICKS, "--orders", "3,4,7", "--delay", "2",
                                       "--walk-length", "400000", "--replicates", "2",
                                       "--seed", "18"]),
+    ("analyze config file", ["analyze", WALK, "--config", CONFIG, "--orders", "3,5"]),
+    ("unknown subcommand", ["frobnicate", WALK]),
+    ("top-level help", ["--help"]),
+    *((f"{name} help", [name, "--help"]) for name in SUBCOMMANDS),
 ]
 
 
@@ -109,6 +123,7 @@ def write_inputs(work: Path) -> None:
     # normal steps of 4 ticks on a quarter-tick grid: about 10 % are zero
     ticks = np.rint(np.cumsum(rng.normal(0.0, 4.0, 200_000)))
     _write(work / TICKS, (ticks + 4000.0) * 0.25)
+    (work / CONFIG).write_text(json.dumps(CONFIG_VALUES), encoding="ascii")
 
 
 def run(src: Path, argv: list[str], work: Path) -> tuple[bytes, bytes, int]:
