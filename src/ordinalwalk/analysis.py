@@ -59,9 +59,9 @@ class AnalysisConfig:
     tie policy, and smoothing feed pattern extraction and divergence;
     null picks the reference model; replicates sets the bootstrap size
     (0 disables the band). seed is an int >= 0, which every report
-    records and every stream of the run derives from; None draws fresh
-    entropy, so the run cannot be repeated. A jitter policy's noise is
-    drawn from the run's seed, so the policy's own seed must stay 0.
+    records and every stream of the run derives from. A jitter policy's
+    noise is drawn from the run's seed, so the policy's own seed must
+    stay 0.
     """
 
     orders: tuple[int, ...] = (4, 5)
@@ -83,8 +83,7 @@ class AnalysisConfig:
         object.__setattr__(self, "replicates", _check_int(self.replicates, "replicates"))
         if self.replicates < 0 or self.replicates == 1:  # a band's spread needs two
             raise RangeError(f"replicates must be 0 or >= 2, got {self.replicates}")
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
+        object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0))
         _check_smoothing(self.smoothing)
 
 

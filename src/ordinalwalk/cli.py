@@ -82,20 +82,21 @@ def _index_or_name(text: str) -> int | str:
 
 _ALL = "analyze window simulate nullmodel classes oracle"
 _STEPPED = "analyze window simulate nullmodel"  # the step law, and a seed
-_COLUMN = dict(type=_index_or_name, default=0,
-               help="column index or (with --header) name, default 0")
 _SWITCH = argparse.BooleanOptionalAction
-_HEADER = dict(action=_SWITCH, default=False, help="treat the first row as a header")
 
 #: The one statement of every flag and config key: per row, the subcommands
 #: that take the flag, its names and its add_argument keywords. A
 #: subcommand's parser gets its rows in table order, which is the order its
-#: --help lists them in, and a config file's keys are its rows' dests.
+#: --help lists them in, and a config file's keys are its rows' dests. A
+#: flag has one row for each reading: --n, --b and --format differ by range,
+#: type or choices, and every other flag has one row.
 _FLAGS = (
-    # analyze and window: the series, its patterns and the null
+    # analyze and window (and nullmodel, where named): the series, its patterns and the null
     ("analyze window", ("input",), dict(help="CSV file of values")),
-    ("analyze window", ("--column",), _COLUMN),
-    ("analyze window", ("--header",), _HEADER),
+    ("analyze window nullmodel", ("--column",), dict(
+        type=_index_or_name, default=0, help="column index or (with --header) name, default 0")),
+    ("analyze window nullmodel", ("--header",), dict(action=_SWITCH, default=False,
+                                                     help="treat the first row as a header")),
     ("analyze window", ("--orders",), dict(type=_comma_list(int, "integers"), default=(4, 5),
                                            help="pattern lengths, e.g. 4,5")),
     ("analyze window", ("--delay",), dict(type=int, default=1,
@@ -106,7 +107,7 @@ _FLAGS = (
     ("analyze window", ("--null",), dict(choices=("associated", "uniform", "normal"),
                                          default="associated",
                                          help="null model kind (default associated)")),
-    ("analyze window", ("--walk-length",), dict(
+    ("analyze window nullmodel", ("--walk-length",), dict(
         type=int, help="values the associated null draws (default max(5e5, 50N))")),
     # simulate's series; nullmodel's and classes' order, and nullmodel's family
     ("simulate", ("--kind",), dict(choices=("iid_uniform", "walk", "logistic", "mod10", "sine"))),
@@ -119,10 +120,8 @@ _FLAGS = (
     (_STEPPED, ("--b",), dict(type=float, default=0.5, help="uniform step model's P(Y > 0)")),
     (_STEPPED, ("--mu",), dict(type=float, default=0.0, help="normal step mean")),
     (_STEPPED, ("--sigma",), dict(type=float, default=1.0, help="normal step deviation")),
-    ("analyze window", ("--closed-form",), dict(action=_SWITCH, default=False,
-                                                help="use exact null tables")),
-    ("nullmodel", ("--closed-form",), dict(action=_SWITCH, default=False,
-                                           help="use exact tables")),
+    ("analyze window nullmodel", ("--closed-form",), dict(action=_SWITCH, default=False,
+                                                          help="use exact null tables")),
     # analyze and window: the band and the output, and the windows
     ("analyze window", ("--null-samples",), dict(
         type=int, default=1_000_000, help="Monte Carlo draws for parametric nulls (default 1e6)")),
@@ -148,11 +147,7 @@ _FLAGS = (
     # nullmodel's draw and series
     ("nullmodel", ("--samples",), dict(type=int, default=1_000_000,
                                        help="Monte Carlo draws (default 1e6)")),
-    ("nullmodel", ("--walk-length",), dict(
-        type=int, help="values the associated null draws, in series-length walks")),
     ("nullmodel", ("--input",), dict(help="CSV series (associated family only)")),
-    ("nullmodel", ("--column",), _COLUMN),  # listed after nullmodel's own flags
-    ("nullmodel", ("--header",), _HEADER),
     ("nullmodel", ("--format",), dict(choices=("json", "csv"), default="json",
                                       help="default json")),
     # classes and oracle
@@ -322,7 +317,7 @@ def _cmd_simulate(args) -> int:
     if args.format == "json":
         payload = _json_bytes({"kind": args.kind, "seed": seed, "values": series.values.tolist()})
     else:
-        payload = ("\n".join(repr(float(v)) for v in series.values) + "\n").encode()
+        payload = _csv_bytes([v] for v in series.values.tolist())
         print(f"seed={seed}", file=sys.stderr)
     _write(args, payload)
     return 0

@@ -47,28 +47,25 @@ class GeneratorSpec:
         object.__setattr__(self, "seed", _check_int(self.seed, "seed", 0, SpecError))
         if self.kind == "walk" and self.step is None:
             raise SpecError("walk generation needs a StepModel")
-        if self.kind in ("logistic", "mod10"):
-            if self.kind == "mod10":
-                x0 = self._exact_x0()
-            else:
-                from fractions import Fraction  # loads decimal, which only the maps need
-
-                try:
-                    x0 = Fraction(float(self.x0))
-                except (TypeError, ValueError) as exc:
-                    raise SpecError(f"cannot read x0 {self.x0!r} as a number") from exc
-            if not 0 < x0 < 1:
-                raise SpecError(f"map iteration needs x0 in (0, 1), got {self.x0}")
+        if self.kind in ("logistic", "mod10") and not 0 < self._x0() < 1:
+            raise SpecError(f"map iteration needs x0 in (0, 1), got {self.x0}")
         if self.kind == "sine" and not self.period > 0:
             raise SpecError(f"sine needs period > 0, got {self.period}")
 
-    def _exact_x0(self) -> Rational:
-        from fractions import Fraction
-
+    def _x0(self) -> float | Rational:
+        """x0 as the map iterates it: mod10's exact Fraction, or the
+        logistic map's finite float."""
         try:
-            return Fraction(self.x0)
-        except (ValueError, TypeError) as exc:
-            raise SpecError(f"cannot read x0 {self.x0!r} as a rational") from exc
+            if self.kind == "mod10":
+                from fractions import Fraction  # loads decimal, which only mod10 needs
+
+                return Fraction(self.x0)
+            x0 = float(self.x0)
+            x0.as_integer_ratio()  # refuses nan and inf, as Fraction(x0) would
+            return x0
+        except (TypeError, ValueError, OverflowError) as exc:
+            noun = "a rational" if self.kind == "mod10" else "a number"
+            raise SpecError(f"cannot read x0 {self.x0!r} as {noun}") from exc
 
 
 def generate(spec: GeneratorSpec) -> TimeSeries:
@@ -80,9 +77,9 @@ def generate(spec: GeneratorSpec) -> TimeSeries:
         rng = np.random.default_rng(spec.seed)
         return TimeSeries(_walks(_sample_steps(spec.step, spec.length - 1, rng)))
     if spec.kind == "logistic":
-        return _logistic(float(spec.x0), spec.length)
+        return _logistic(spec._x0(), spec.length)
     if spec.kind == "mod10":
-        return _mod10(spec._exact_x0(), spec.length)
+        return _mod10(spec._x0(), spec.length)
     t = np.arange(1, spec.length + 1, dtype=np.float64)
     return TimeSeries(spec.amplitude * np.sin(2.0 * np.pi * t / spec.period + spec.phase))
 

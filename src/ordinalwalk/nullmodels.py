@@ -268,15 +268,15 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 # the walk sampler, and Monte Carlo
 # --------------------------------------------------------------------------
 
-def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, seed):
+def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, rng):
     """The blocks of patterns._blocks over `rows` walks of `length` values
-    stepping by model, drawn from `seed` as (walk slice, lo, hi, values):
+    stepping by model, drawn from rng as (walk slice, lo, hi, values):
     whole walks, or a long walk's blocks, each summed on from the raw last
     value of the block before. The draws do not depend on the blocks. Each
     block is a new column-major array, so the kernel's loops run down the
     walks, and its reader may write it (patterns._noised does)."""
     d = _check_span(length, orders, d)
-    rng, overlap = np.random.default_rng(seed), (max(orders) - 1) * d
+    overlap = (max(orders) - 1) * d
     for walks, lo, hi in _blocks(rows, length, orders, d):
         if lo == 0:  # whole walks, or a long walk's first block
             z = _walks(_sample_steps(model, (walks.stop - walks.start, hi - 1), rng))
@@ -293,14 +293,15 @@ def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, see
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,
                   policy: TiePolicy | None = None, keep: int = 0):
     """patterns._counted of the walks _sampled_walks draws, with stable ties
-    unless jittered, from seed's first child, each kept walk's counts in the
-    smallest unsigned type that holds them."""
+    unless jittered, from the first child of seed's own SeedSequence, each
+    kept walk's counts in the smallest unsigned type that holds them."""
+    rng = np.random.default_rng(seed)
     if policy is not None and policy.mode == "jitter":
-        base = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        base = rng.bit_generator.seed_seq
         # the first child of base, derived without spawning, which would change base
         policy = replace(policy, seed=np.random.SeedSequence(
             base.entropy, spawn_key=base.spawn_key + (0,), pool_size=base.pool_size))
-    return _counted(_sampled_walks(model, rows, length, orders, d, seed), orders, d, policy,
+    return _counted(_sampled_walks(model, rows, length, orders, d, rng), orders, d, policy,
                     keep, np.min_scalar_type(length - (min(orders) - 1) * d))
 
 
@@ -696,8 +697,8 @@ def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
     """Realize a NullSpec at several orders: one NullModel per order, as given.
 
     A closed form is evaluated at each order. Any other null is one draw
-    from `seed` (an int >= 0 or a SeedSequence), ranked at every order in
-    one pass, as NullSpec states.
+    from `seed` (an int >= 0, a SeedSequence or a Generator), ranked at
+    every order in one pass, as NullSpec states.
     """
     return tuple(null for null, _ in _nulls_and_bands(series, orders, spec, seed, d, policy))
 

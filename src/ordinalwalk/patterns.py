@@ -133,14 +133,14 @@ class TiePolicy:
 
     stable (the default) ranks the earlier index as smaller; strict raises
     TieError on any duplicate; jitter adds normal noise of scale
-    jitter_scale, drawn from seed (an int or a SeedSequence), before ranking.
-    jitter_scale must be finite, and a pass whose noised values are not
-    raises RangeError.
+    jitter_scale, drawn from seed (an int >= 0, a SeedSequence or a
+    Generator), before ranking. jitter_scale must be finite, and a pass
+    whose noised values are not raises RangeError.
     """
 
     mode: TieMode = "stable"
     jitter_scale: float = 0.0
-    seed: int | np.random.SeedSequence = 0
+    seed: int | np.random.SeedSequence | np.random.Generator = 0
 
     def __post_init__(self):
         if self.mode not in ("strict", "stable", "jitter"):
@@ -153,10 +153,10 @@ class TiePolicy:
 
 
 def _check_seed(seed):
-    """seed as given if it is a SeedSequence, a Generator or None (fresh
-    entropy), else as an int >= 0 (_check_int), before numpy refuses it
-    untyped."""
-    if seed is None or isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
+    """seed as given if it is a SeedSequence or a Generator, else as an
+    int >= 0 (_check_int), before numpy refuses it untyped; None, which
+    would draw fresh entropy, is refused."""
+    if isinstance(seed, (np.random.SeedSequence, np.random.Generator)):
         return seed
     return _check_int(seed, "seed", 0)
 

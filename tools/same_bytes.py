@@ -91,6 +91,12 @@ COMMANDS = [
     ("simulate walk csv", ["simulate", "--kind", "walk", "--step-family", "uniform", "--b", "0.6",
                            "--length", "3000", "--seed", "5"]),
     ("simulate sine json", ["simulate", "--kind", "sine", "--length", "100", "--format", "json"]),
+    ("simulate logistic csv", ["simulate", "--kind", "logistic", "--length", "500"]),
+    ("simulate mod10 csv", ["simulate", "--kind", "mod10", "--x0", "1/2003", "--length", "500"]),
+    ("analyze uniform band jitter", ["analyze", WALK, "--null", "uniform", "--b", "0.6",
+                                     "--null-samples", "100000", "--ties", "jitter",
+                                     "--jitter-scale", "0.05", "--replicates", "20",
+                                     "--seed", "20"]),
     ("nullmodel uniform closed form csv", ["nullmodel", "--family", "uniform", "--b", "0.6",
                                            "--n", "4", "--closed-form", "--format", "csv"]),
     ("analyze ticks d=2 long walks", ["analyze", TICKS, "--orders", "3,4,7", "--delay", "2",
