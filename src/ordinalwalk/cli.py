@@ -9,8 +9,8 @@ switch takes only true or false); explicit flags win. In --strict mode
 every run that consumes randomness must name its --seed.
 
 The flag table, _FLAGS, is the one statement of every subcommand's flags
-and config keys. A call registers every subcommand's name but builds
-only its own subcommand's flags.
+and config keys. A call builds only its own subcommand's flags, and
+registers only that subcommand when argv names it first.
 """
 
 from __future__ import annotations
@@ -173,16 +173,19 @@ def _flags(command: str) -> dict[str, tuple[tuple[str, ...], dict]]:
             for commands, names, keywords in _FLAGS if command in commands.split()}
 
 
-def _build_parser(command: str | None) -> tuple[_Parser, dict[str, _Parser]]:
-    """The top-level parser, and its subcommand parsers by name. Every
-    subcommand is registered with its help, but only the parser of
-    `command` (if it names one) gets its flags."""
+def _build_parser(command: str | None, alone: bool = False) -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser, and its subcommand parsers by name: every
+    subcommand registered with its help, or only `command` if alone. Only
+    the parser of `command` (if it names one) gets its flags."""
     parser = _Parser(prog="ordinalwalk",
                      description="ordinal-pattern analysis against random-walk nulls")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # registered alone, a subcommand leaves the usage listing all six; with all
+    # six, a metavar would rename the argument in the invalid-choice and required errors
+    metavar = {"metavar": "{" + ",".join(_COMMANDS) + "}"} if alone else {}
+    sub = parser.add_subparsers(dest="command", required=True, **metavar)
     # a parser that argparse never hands argv to needs no -h either
     commands = {name: sub.add_parser(name, help=text, add_help=name == command)
-                for name, (text, _) in _COMMANDS.items()}
+                for name, (text, _) in _COMMANDS.items() if not alone or name == command}
     if command in commands:
         for names, keywords in _flags(command).values():
             commands[command].add_argument(*names, **keywords)
@@ -356,11 +359,12 @@ def _cmd_oracle(args) -> int:
             closed = closed_form_uniform(n, b)
         except OrderError:  # no closed form at this order
             closed = None
-        for pattern in all_patterns(n):
-            volume = volume_oracle(pattern, StepModel.uniform(b), args.resolution)
+        step = StepModel.uniform(b)
+        for rank, pattern in enumerate(all_patterns(n)):  # lex order: the index is the rank
+            volume = volume_oracle(pattern, step, args.resolution)
             expected = error = None  # empty cells without a closed form
             if closed is not None:
-                expected = float(closed.weights[pattern.rank])
+                expected = float(closed.weights[rank])
                 error = abs(volume - expected)
             rows.append((b, pattern, volume, expected, error))
     _write(args, _csv_bytes(rows))
@@ -387,8 +391,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         # the top level's one option is -h, so argparse hands the rest of argv
-        # to the subcommand the first token that is not an option names
-        parser, commands = _build_parser(next((a for a in argv if a[:1] != "-"), None))
+        # to the subcommand the first token that is not an option names; a
+        # subcommand named first is the only one argparse can meet
+        command = next((a for a in argv if a[:1] != "-"), None)
+        parser, commands = _build_parser(command, argv[:1] == [command] and command in _COMMANDS)
         args = parser.parse_args(argv)
         if args.config:
             # config values become the subcommand's defaults; a second parse

@@ -399,10 +399,10 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     everything else is exact.
 
     Counts are multiples of 1/2, so doubled counts are summed as integers
-    per share denominator k, and each volume is rounded once from the exact
-    sum over k of count / (2k resolution^(n-1)). The volumes do not depend
-    on chunking or summation order; 2 resolution^(n-1) <= 2^53 keeps every
-    float partial sum an exact integer.
+    per share denominator k, and _rounded_volumes rounds each volume once
+    from the exact sum over k of count / (2k resolution^(n-1)). The volumes
+    do not depend on chunking or summation order; 2 resolution^(n-1) <= 2^53
+    keeps every float partial sum an exact integer.
     """
     m = n - 1
     words = _words(m)
@@ -418,7 +418,8 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
     order = np.argsort(words, axis=1)
     rc = {k: _symmetry_ranks(k, "reverse_complement") for k in (m, n)}
     ranks = rc[n][(m - np.arange(n)) * _FACT[m] + rc[m][:, None]]
-    descent = np.array([_FACT[m - 1 - a] for a in earlier])  # lex rank weights
+    # lex rank weights, in the smallest type that holds a rank below m!
+    descent = np.array([_FACT[m - 1 - a] for a in earlier], dtype=np.min_scalar_type(spare - 1))
     # a row fixes the pairs within its first m-1 prefix values; the last
     # value passes prefix value a at cut pair (a, m-1), itself at no step
     fixed, cuts = np.flatnonzero(later < m - 1), np.flatnonzero(later == m - 1)
@@ -451,8 +452,10 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
         offset = rows[-1] - rows
         lo = np.clip(t_up[lane[cuts], None] - offset, 0, resolution)
         hi = np.clip(t_down[lane[cuts], None] - offset, 0, resolution)
-        edges = np.sort(np.vstack([np.zeros_like(lo[:1]), lo, hi,
-                                   np.full_like(lo[:1], resolution)]), axis=0)
+        # lo and hi lie in [0, resolution], so only they need sorting
+        edges = np.empty((2 * len(cuts) + 2, rows.shape[1]), dtype=np.int64)
+        edges[0], edges[1:-1], edges[-1] = 0, np.vstack((lo, hi)), resolution
+        edges[1:-1].sort(axis=0)
         start, size = edges[:-1], np.diff(edges, axis=0)
         falls = start < lo[:, None]
         tied = row_tied | (~falls & (start < hi[:, None])).any(axis=0)
@@ -460,10 +463,10 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
         prefix = (sum(weight * fall for weight, fall in zip(descent[fixed], down))
                   + sum(weight * fall for weight, fall in zip(descent[cuts], falls)))[strict]
         cols = np.bincount(prefix, size[strict], minlength=spare)
-        # each position's doubled counts summed per prefix order, over intervals
-        counted = np.diff(cum[lane[cuts, None, None], offset[:, None] + edges], axis=1)
-        sums_u = np.column_stack([np.bincount(prefix, cut[strict], minlength=spare)
-                                  for cut in counted] + [cols * last])
+        # each position's doubled counts on each interval, summed per prefix order
+        sums_u = np.column_stack([
+            np.bincount(prefix, np.diff(cum[r][shift + edges], axis=0)[strict], minlength=spare)
+            for r, shift in zip(lane[cuts], offset)] + [cols * last])
         acc[1, ranks] += np.diff(np.take_along_axis(sums_u, order, axis=1), prepend=0.0,
                                  append=2 * resolution * cols[:, None], axis=1).astype(np.int64)
         for digits in _tied_columns(rows, tied, start, size, _SWEEP_CHUNK):
@@ -481,13 +484,19 @@ def _oracle_sweep(n: int, b: float, resolution: int) -> np.ndarray:
                              - counts[order[u, :j]].max(axis=0, initial=0))
                     acc[:, rank] += np.bincount(admitted * admits[u], np.maximum(cells, 0),
                                                 minlength=spare + 1).astype(np.int64)
-    from fractions import Fraction  # loads decimal, which only the oracle needs
-
-    scale = 2 * resolution ** m
-    volumes = np.array([float(sum(Fraction(int(c), k) for k, c in enumerate(col) if k and c)
-                              / scale) for col in acc.T])
+    volumes = _rounded_volumes(acc, 2 * resolution ** m)
     volumes.setflags(write=False)
     return volumes
+
+
+def _rounded_volumes(acc: np.ndarray, cells: int) -> np.ndarray:
+    """Each column's sum over k = 1..K of acc[k] / (k cells), K = len(acc) - 1,
+    rounded once: one exact Python int over the common denominator
+    lcm(1..K) cells, whose int true division is correctly rounded, as
+    float(Fraction) is."""
+    common = math.lcm(*range(1, len(acc)))
+    shares = np.array([common // k for k in range(1, len(acc))], dtype=object)
+    return (acc[1:].T.astype(object) @ shares / (common * cells)).astype(float)
 
 
 def _check_oracle_order(n: int) -> None:
@@ -698,7 +707,10 @@ def build_nulls(series, orders, spec: NullSpec, seed=0, d: int = 1,
 
     A closed form is evaluated at each order. Any other null is one draw
     from `seed` (an int >= 0, a SeedSequence or a Generator), ranked at
-    every order in one pass, as NullSpec states.
+    every order in one pass, as NullSpec states. A Generator seed is drawn
+    from, and so advanced, as numpy's own samplers do: unlike a TiePolicy,
+    which keeps a Generator's SeedSequence, a second call with the same
+    Generator draws a different null.
     """
     return tuple(null for null, _ in _nulls_and_bands(series, orders, spec, seed, d, policy))
 

@@ -32,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -134,8 +133,10 @@ class TiePolicy:
     stable (the default) ranks the earlier index as smaller; strict raises
     TieError on any duplicate; jitter adds normal noise of scale
     jitter_scale, drawn from seed (an int >= 0, a SeedSequence or a
-    Generator), before ranking. jitter_scale must be finite, and a pass
-    whose noised values are not raises RangeError.
+    Generator), before ranking. A Generator is stored as its own
+    SeedSequence, so every pass draws the same noise, and a fresh
+    default_rng(s) the noise of seed s. jitter_scale must be finite, and a
+    pass whose noised values are not raises RangeError.
     """
 
     mode: TieMode = "stable"
@@ -149,7 +150,8 @@ class TiePolicy:
             raise RangeError(f"jitter_scale must be finite, got {self.jitter_scale}")
         if self.mode == "jitter" and not self.jitter_scale > 0:
             raise RangeError("jitter mode requires jitter_scale > 0")
-        _check_seed(self.seed)
+        if isinstance(_check_seed(self.seed), np.random.Generator):
+            object.__setattr__(self, "seed", self.seed.bit_generator.seed_seq)
 
 
 def _check_seed(seed):
@@ -276,8 +278,13 @@ def lex_rank(pattern: OrdinalPattern) -> int:
 @lru_cache(maxsize=None)
 def _words(n: int) -> np.ndarray:
     """Every order-n word as a read-only (n!, n) int8 array, row r of lex
-    rank r: permutations() of a sorted sequence yields lex order."""
-    words = np.array(list(permutations(range(1, _check_order(n) + 1))), dtype=np.int8)
+    rank r: the words that start with f, for f = 1..n, are f followed by the
+    order-(n-1) words in lex order, each value from f up raised by one."""
+    n = _check_order(n)
+    tail = _words(n - 1) if n > 2 else np.ones((1, 1), dtype=np.int8)
+    first = np.arange(1, n + 1, dtype=np.int8)[:, None, None]
+    words = np.concatenate((np.broadcast_to(first, (n, len(tail), 1)), tail + (tail >= first)),
+                           axis=2).reshape(-1, n)
     words.setflags(write=False)
     return words
 

@@ -2,10 +2,11 @@
 
 A seed is an int >= 0, a SeedSequence or a Generator (patterns._check_seed),
 and None is refused; a fresh Generator draws what its int seed draws, its
-jitter stream included. A map's x0 is read by GeneratorSpec's one reader,
-which raises SpecError for whatever it cannot read. A CLI flag has one
-row of cli._FLAGS for each reading, and a config value of null keeps the
-flag's own default.
+jitter stream included, and a TiePolicy keeps a Generator's SeedSequence,
+so one policy noises alike on every pass. A map's x0 is read by
+GeneratorSpec's one reader, which raises SpecError for whatever it cannot
+read. A CLI flag has one row of cli._FLAGS for each reading, and a config
+value of null keeps the flag's own default.
 """
 
 import json
@@ -26,6 +27,7 @@ from ordinalwalk import (
     generate,
     kl_to_null,
     monte_carlo_distribution,
+    pattern_counts,
 )
 from ordinalwalk.cli import _FLAGS, main
 
@@ -42,6 +44,15 @@ def test_a_fresh_generator_seed_draws_the_bytes_of_its_int_seed(s):
         assert a.distribution.weights.tobytes() == b.distribution.weights.tobytes()
     assert (kl_to_null(WALK, 4, spec, np.random.default_rng(s), policy=JITTER)
             == kl_to_null(WALK, 4, spec, s, policy=JITTER))
+
+
+def test_a_generator_seeded_policy_noises_alike_on_every_pass():
+    series = np.repeat(np.arange(50.0), 4)
+    policy = TiePolicy("jitter", 0.5, seed=np.random.default_rng(3))
+    first, again = (pattern_counts(series, (4,), policy=policy)[4] for _ in range(2))
+    assert first.tobytes() == again.tobytes()
+    same = pattern_counts(series, (4,), policy=TiePolicy("jitter", 0.5, seed=3))[4]
+    assert first.tobytes() == same.tobytes()
 
 
 @pytest.mark.parametrize("call", [

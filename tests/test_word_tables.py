@@ -3,6 +3,8 @@ ranked by _lag_ranks: no table builds an OrdinalPattern or calls the
 one-pattern lex_rank, which stay as the public API and as the references
 that these and other tests compare against."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,9 @@ def test_words_are_a_read_only_int8_table(n):
     assert not words.flags.writeable
     with pytest.raises(ValueError):
         words[0, 0] = 1
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_words_equal_the_permutations_in_lex_order(n):
+    want = np.array(list(itertools.permutations(range(1, n + 1))), dtype=np.int8)
+    assert _words(n).tobytes() == want.tobytes() and _words(n).shape == want.shape

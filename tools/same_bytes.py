@@ -9,7 +9,8 @@ a 5 000-point series that turns from a walk into the logistic map, and a
 200 000-row tie-heavy tick series, whose rows and associated walks are
 longer than one rank block, and a JSON config file of flag defaults.
 It runs every command below once with each tree on PYTHONPATH, among
-them every --help and one unknown subcommand, compares stdout, stderr
+them every --help, one unknown subcommand, unknown options before and
+after a subcommand and an empty argv, compares stdout, stderr
 and exit code, prints one line per command, and exits 1 if any of them
 differ. It needs only numpy.
 """
@@ -103,8 +104,15 @@ COMMANDS = [
                                       "--walk-length", "400000", "--replicates", "2",
                                       "--seed", "18"]),
     ("analyze config file", ["analyze", WALK, "--config", CONFIG, "--orders", "3,5"]),
+    ("oracle n=4 two b", ["oracle", "--n", "4", "--b", "0.37,0.61", "--resolution", "300"]),
     ("unknown subcommand", ["frobnicate", WALK]),
     ("top-level help", ["--help"]),
+    # argv that registers one subcommand (it comes first) or all six (it does not)
+    ("help before a subcommand", ["-h", "analyze"]),
+    ("unknown option before a subcommand", ["--bogus", "analyze"]),
+    ("unknown option after analyze", ["analyze", WALK, "--bogus"]),
+    ("unknown option after oracle", ["oracle", "--n", "4", "--bogus", "1"]),
+    ("no arguments", []),
     *((f"{name} help", [name, "--help"]) for name in SUBCOMMANDS),
 ]
 
