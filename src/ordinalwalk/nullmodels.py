@@ -128,16 +128,18 @@ def _walks(steps: np.ndarray) -> np.ndarray:
 
     cumsum runs walk by walk, so when there are fewer steps per walk than
     walks the walks are summed a column at a time instead: the same
-    additions in the same order, so the same values bit for bit.
+    additions in the same order, so the same values bit for bit. A sum
+    that overflows is left infinite, for the caller to refuse.
     """
     z = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,), order="F")
     width = steps.shape[-1]
-    if width * width < steps.size:  # width < steps.size / width walks
-        z[..., 1] = steps[..., 0]
-        for k in range(1, width):
-            np.add(z[..., k], steps[..., k], out=z[..., k + 1])
-    else:
-        np.cumsum(steps, axis=-1, out=z[..., 1:])
+    with np.errstate(over="ignore"):
+        if width * width < steps.size:  # width < steps.size / width walks
+            z[..., 1] = steps[..., 0]
+            for k in range(1, width):
+                np.add(z[..., k], steps[..., k], out=z[..., k + 1])
+        else:
+            np.cumsum(steps, axis=-1, out=z[..., 1:])
     return z
 
 
@@ -270,24 +272,24 @@ def closed_form_normal_zero_mean(n: int) -> PatternDistribution:
 
 def _sampled_walks(model: StepModel, rows: int, length: int, orders, d: int, rng):
     """The blocks of patterns._blocks over `rows` walks of `length` values
-    stepping by model, drawn from rng as (walk slice, lo, hi, values):
-    whole walks, or a long walk's blocks, each summed on from the raw last
-    value of the block before. The draws do not depend on the blocks. Each
+    stepping by model, drawn from rng as (walk slice, lo, values):
+    whole walks, or a long walk's tiles, each summed on from the raw last
+    value of the tile before. The draws do not depend on the blocks. Each
     block is a new column-major array, so the kernel's loops run down the
     walks, and its reader may write it (patterns._noised does)."""
     d = _check_span(length, orders, d)
-    overlap = (max(orders) - 1) * d
     for walks, lo, hi in _blocks(rows, length, orders, d):
-        if lo == 0:  # whole walks, or a long walk's first block
+        if lo == 0:  # whole walks, or a long walk's first tile
             z = _walks(_sample_steps(model, (walks.stop - walks.start, hi - 1), rng))
         else:  # the rest of a long walk, summed on from its last value
-            steps = _sample_steps(model, (1, hi - lo - overlap), rng)
-            steps[:, 0] += last
-            z = np.concatenate((z[:, -overlap:], np.cumsum(steps, axis=-1)), axis=-1)
+            z = _sample_steps(model, (1, hi - lo), rng)
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                z[:, 0] += last
+                np.cumsum(z, axis=-1, out=z)
         last = z[:, -1].copy()
         if not np.isfinite(last).all():  # a sum that leaves the finite never returns
             raise RangeError("series values must be finite")  # as TimeSeries says
-        yield walks, lo, hi, z
+        yield walks, lo, z
 
 
 def _drawn_counts(model: StepModel, rows: int, length: int, orders, d: int, seed,

@@ -9,6 +9,8 @@ table comes from one word array per order, _words(n), row r of lex rank r.
 One counter, _counted, jitters (_noised), ranks and counts every series,
 stack and sampled walk (in nullmodels) in the blocks of _blocks, so no
 pass holds more than about _CHUNK windows' values, noise or temporaries.
+The blocks tile each row, and _counted alone ranks a long row's later
+block behind the tail of the one before, so every window is counted.
 It counts each window once, at its top order n: the order-m window at
 start t + (n - m) d is the last m values of the order-n window at t, and
 _lag_ranks makes rank_n mod m! its rank, so order m's counts are the top
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Literal, Sequence
 
 import numpy as np
@@ -185,7 +187,7 @@ class OrdinalPattern:
     def order(self) -> int:
         return len(self.word)
 
-    @property
+    @cached_property
     def rank(self) -> int:
         return lex_rank(self)
 
@@ -437,7 +439,7 @@ def _prepared(series, orders, d: int, policy: TiePolicy | None) -> tuple[np.ndar
     return values, d
 
 
-#: window starts ranked and counted at a time: the one block size of every
+#: new values ranked and counted at a time: the one block size of every
 #: rank pass, here and in the sampler (nullmodels), which bounds its memory;
 #: no count depends on it
 _CHUNK = 1 << 16
@@ -447,30 +449,25 @@ def _blocks(rows: int, size: int, orders, d: int):
     """The blocks of a rank pass over `rows` series of `size` values each,
     as (row slice, lo, hi): values lo..hi-1 of those rows.
 
-    Rows of at most _CHUNK values are taken whole, as many as fit in
-    _CHUNK values. A longer row is taken alone, _CHUNK window starts at a
-    time; consecutive blocks overlap by the top order's span less one,
-    (max(orders) - 1) * d values, so every window lies whole in the block
-    it starts in. _block_ranks counts each window there only.
+    The blocks tile each row. Rows of at most _CHUNK values are taken
+    whole, as many as fit in _CHUNK values; a longer row is taken alone, in
+    tiles of max(_CHUNK, span) values, where span = (max(orders) - 1) d + 1
+    keeps a top-order window in a row's first block.
     """
-    if size <= _CHUNK:
-        step = _CHUNK // size
-        for start in range(0, rows, step):
-            yield slice(start, min(start + step, rows)), 0, size
-        return
-    overlap = (max(orders) - 1) * d
-    for row in range(rows):
-        for lo in range(0, size - overlap, _CHUNK):
-            yield slice(row, row + 1), lo, min(lo + _CHUNK + overlap, size)
+    width = max(_CHUNK, (max(orders) - 1) * d + 1)
+    step = max(_CHUNK // size, 1)
+    for start in range(0, rows, step):
+        for lo in range(0, size, width):
+            yield slice(start, min(start + step, rows)), lo, min(lo + width, size)
 
 
 def _block_ranks(x: np.ndarray, orders, d: int, first: bool):
-    """The (n, ranks) of a block of _blocks that a pass counts, from one
-    _lag_ranks pass: the top order's windows, all of which start in it
-    (_blocks cuts a long row's blocks to _CHUNK starts plus the overlap),
-    then, in a row's first block, each lower order's first (top - n) d
-    windows, which end no top-order window. The rest are suffixes of
-    top-order windows, which _folded counts from the top."""
+    """The (n, ranks) of a block that _counted counts, from one _lag_ranks
+    pass: the top order's windows, which _counted makes those that end in
+    the block's new values, then, in a row's first block, each lower
+    order's first (top - n) d windows, which end no top-order window. The
+    rest are suffixes of top-order windows, which _folded counts from the
+    top."""
     top, heads = max(orders), []
     for n, ranks in _lag_ranks(x, orders, d):
         if n == top:
@@ -499,29 +496,23 @@ def _folded(counts: dict[int, np.ndarray]) -> dict[int, np.ndarray]:
     return counts
 
 
-def _noised(blocks, orders, d: int, policy: TiePolicy | None):
-    """The (row slice, lo, hi, values) blocks of _blocks, with a jitter
-    policy's noise added to each block, in its layout: from
-    default_rng(policy.seed), once per value in value order, so a long row's
-    later block reuses the noised overlap of the block before. A block that
-    owns its memory (the sampler's) is noised in place, and a view, which
-    may be the caller's, is copied first. RangeError if a noised value is
-    not finite."""
+def _noised(blocks, policy: TiePolicy | None):
+    """The (row slice, lo, values) blocks given, with a jitter policy's
+    noise added to each block's values: from default_rng(policy.seed), once
+    per value in block order. A block that owns its memory (the sampler's)
+    is noised in place, and a view, which may be the caller's, into a copy.
+    RangeError if a noised value is not finite."""
     if policy is None or policy.mode != "jitter":
         yield from blocks
         return
-    rng, overlap = np.random.default_rng(policy.seed), (max(orders) - 1) * d
-    for rows, lo, hi, x in blocks:
-        fresh, block = (overlap if lo else 0), x if x.base is None else np.empty_like(x)
-        if fresh:  # a long row's later block: its first values end the block before
-            block[:, :fresh] = noised[:, -fresh:]
+    rng = np.random.default_rng(policy.seed)
+    for rows, lo, x in blocks:
+        block = x if x.base is None else np.empty_like(x)
         with np.errstate(over="ignore"):  # an overflow is refused below
-            np.add(x[:, fresh:], rng.normal(0.0, policy.jitter_scale, (len(x), hi - lo - fresh)),
-                   out=block[:, fresh:])
+            np.add(x, rng.normal(0.0, policy.jitter_scale, x.shape), out=block)
         if not np.isfinite(block).all():
             raise RangeError("jittered values must be finite")
-        noised = block
-        yield rows, lo, hi, noised
+        yield rows, lo, block
 
 
 #: the most counts _counted keeps, rows times n! summed over the counted
@@ -531,18 +522,24 @@ _MAX_STACK_COUNTS = 1 << 26
 
 def _counted(blocks, orders, d: int, policy: TiePolicy | None, keep: int, dtype):
     """Pattern counts per order of the rows whose blocks of _blocks come as
-    (row slice, lo, hi, values), jittered by _noised and counted once per
-    window from _block_ranks, then _folded: pooled over
-    every row in int64, and per row for the first `keep` rows in dtype.
-    RangeError, before any count is allocated, if the kept counts would
-    exceed _MAX_STACK_COUNTS."""
+    (row slice, lo, values from lo on), jittered by _noised, counted once
+    per window from _block_ranks, then _folded: pooled over every row in
+    int64, and per row for the first `keep` rows in dtype. A long row's
+    later block is ranked behind the last (max(orders) - 1) d noised values
+    of the block before, so its top-order windows are those that end in its
+    own values. RangeError, before any count is allocated, if the kept
+    counts would exceed _MAX_STACK_COUNTS."""
     cells = keep * sum(_FACT[n] for n in orders)
     if cells > _MAX_STACK_COUNTS:
         raise RangeError(f"{keep} rows at orders {sorted(orders)} need {cells} counts, "
                          f"more than {_MAX_STACK_COUNTS}")
     pooled = {n: np.zeros(_FACT[n], dtype=np.int64) for n in orders}
     kept = {n: np.zeros((keep, _FACT[n]), dtype) for n in orders}
-    for rows, lo, hi, x in _noised(blocks, orders, d, policy):
+    overlap = (max(orders) - 1) * d
+    for rows, lo, x in _noised(blocks, policy):
+        if lo:  # a long row's later block, joined to the end of the one before
+            x = np.concatenate((tail, x), axis=-1)
+        tail = x[:, -overlap:]
         for n, ranks in _block_ranks(x, orders, d, lo == 0):
             mine = kept[n][rows]  # a view, empty past the kept rows
             if len(mine):  # one bincount, each row's ranks offset by n! times its index
@@ -574,7 +571,7 @@ def pattern_counts(
     values, d = _prepared(series, orders, d, policy)
     size = values.shape[-1]
     stack = values.reshape(-1, size)  # a series is a stack of one row
-    blocks = ((rows, lo, hi, stack[rows, lo:hi])
+    blocks = ((rows, lo, stack[rows, lo:hi])
               for rows, lo, hi in _blocks(len(stack), size, orders, d))
     _, counts = _counted(blocks, orders, d, policy, len(stack), np.intp)
     return {n: c.reshape(values.shape[:-1] + (_FACT[n],)) for n, c in counts.items()}
@@ -615,7 +612,7 @@ def extract_patterns(
     orders = _check_orders((n,))
     values, d = _prepared(_as_series(series), orders, d, policy)
     values = values[None]  # one row, one block
-    (*_, values), = _noised([(None, 0, values.size, values)], orders, d, policy)
+    (*_, values), = _noised([(None, 0, values)], policy)
     _, ranks = next(_lag_ranks(values[0], orders, d))
     patterns = _patterns(n)
     return [patterns[r] for r in ranks.tolist()]

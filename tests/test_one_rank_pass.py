@@ -1,10 +1,12 @@
 """One counter, patterns._counted, jitters, ranks and counts every series,
-stack and sampled walk in the blocks of patterns._blocks. These tests hold
-its jittered walk counts, pooled and kept, bit for bit to one one-shot
-draw whatever the block size (tests/test_fold_counts.py holds series and
-stacks to one whole-series draw), bound the memory of a jittered pass,
-check that it writes no caller's values, and check the finite-jitter rule
-and the freeze rule of the values a pass reads."""
+stack and sampled walk in the blocks of patterns._blocks, which tile each
+row. These tests check the tiling, hold a series whose top-order span is
+longer than a block to its whole-series counts, hold its jittered walk
+counts, pooled and kept, bit for bit to one one-shot draw whatever the
+block size (tests/test_fold_counts.py holds series and stacks to one
+whole-series draw), bound the memory of a jittered pass, check that it
+writes no caller's values, and check the finite-jitter rule and the
+freeze rule of the values a pass reads."""
 
 import math
 import tracemalloc
@@ -61,6 +63,36 @@ def test_jittered_walk_counts_are_those_of_one_one_shot_draw(model, orders, d, e
     for n in orders:
         assert pooled[n].tobytes() == want[n].sum(axis=0).tobytes()
         assert np.array_equal(kept[n], want[n][:keep])
+
+
+@given(rows=st.integers(1, 5), orders=st.sets(st.integers(2, 7), min_size=1, max_size=3),
+       d=st.integers(1, 40), extra=st.integers(0, 300), chunk=st.integers(1, 200))
+@settings(max_examples=200, deadline=None)
+def test_blocks_tile_each_row(rows, orders, d, extra, chunk):
+    span = (max(orders) - 1) * d + 1
+    size = span + extra
+    seen = np.zeros((rows, size), dtype=int)
+    with patch.object(patterns, "_CHUNK", chunk):
+        for block, lo, hi in patterns._blocks(rows, size, orders, d):
+            seen[block, lo:hi] += 1
+            assert (block.stop - block.start) * (hi - lo) <= max(chunk, span)
+            if lo == 0:  # a row's first block holds a top-order window
+                assert hi >= span
+    assert (seen == 1).all()
+
+
+@pytest.mark.parametrize("mode", ["stable", "jitter"])
+def test_a_span_longer_than_a_block_counts_every_window(mode):
+    # a top-order window (72 001 values) longer than one block (65 536)
+    values = np.random.default_rng(6).integers(0, 9, 150_000).astype(float)
+    policy = TiePolicy(mode, 0.5 if mode == "jitter" else 0.0, 8)
+    noised = values.copy()
+    if mode == "jitter":
+        noised += np.random.default_rng(8).normal(0.0, 0.5, values.shape)
+    want = _per_row_counts(noised[None], (3, 7), 12_000)
+    got = pattern_counts(values, (3, 7), 12_000, policy)
+    for n in (3, 7):
+        assert np.array_equal(got[n], want[n][0])
 
 
 def test_extracted_patterns_are_those_of_one_whole_draw():

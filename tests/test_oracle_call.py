@@ -4,7 +4,7 @@ A subcommand named first is the only one the CLI registers, and the usage
 still lists all six; any other argv registers all six, as before. The
 sweep's volumes are one integer sum each, rounded once, so `fractions`
 (and the `decimal` it loads) stays unloaded, and the oracle reads each
-b's step law and closed form once.
+b's step law and closed form once. Each pattern computes its rank once.
 """
 
 import os
@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ordinalwalk import all_patterns, cli, closed_form_uniform, nullmodels
+from ordinalwalk import all_patterns, cli, closed_form_uniform, lex_rank, nullmodels, patterns
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 USAGE = "usage: ordinalwalk [-h] {analyze,window,simulate,nullmodel,classes,oracle} ...\n"
@@ -71,6 +71,20 @@ def test_oracle_calls_volume_oracle_through_cli_once_per_pattern(tmp_path, monke
     assert [row[1] for row in rows[:24]] == [str(p) for p in all_patterns(4)]
     closed = closed_form_uniform(4, 0.61).weights
     assert [float(row[3]) for row in rows[24:]] == closed.tolist()
+
+
+def test_oracle_runs_rank_each_pattern_once_per_process(tmp_path, monkeypatch):
+    ranked = []
+
+    def counted(pattern):
+        ranked.append(pattern)
+        return lex_rank(pattern)
+
+    monkeypatch.setattr(patterns, "lex_rank", counted)
+    for run in range(2):
+        assert cli.main(["oracle", "--n", "4", "--b", "0.6,0.7", "--resolution", "40",
+                         "-o", str(tmp_path / f"{run}.csv")]) == 0
+    assert len(ranked) <= 24  # the cached patterns keep their ranks
 
 
 def _registered(monkeypatch, argv):

@@ -103,6 +103,11 @@ COMMANDS = [
     ("analyze ticks d=2 long walks", ["analyze", TICKS, "--orders", "3,4,7", "--delay", "2",
                                       "--walk-length", "400000", "--replicates", "2",
                                       "--seed", "18"]),
+    # a top-order span (72 001) longer than one rank block, jittered, with long walks
+    ("analyze ticks span past a block", ["analyze", TICKS, "--orders", "3,7", "--delay", "12000",
+                                         "--ties", "jitter", "--jitter-scale", "0.01",
+                                         "--walk-length", "400000", "--replicates", "2",
+                                         "--seed", "21"]),
     ("analyze config file", ["analyze", WALK, "--config", CONFIG, "--orders", "3,5"]),
     ("oracle n=4 two b", ["oracle", "--n", "4", "--b", "0.37,0.61", "--resolution", "300"]),
     ("unknown subcommand", ["frobnicate", WALK]),
